@@ -1,12 +1,16 @@
 // A flat d-ary (4-ary) binary-free min-heap for search hot loops.
 //
-// Every shortest-path kernel in this codebase follows the same pattern:
-// push (key, payload) entries, pop the minimum, skip entries that a
-// cheaper "settled / stale" check proves outdated (decrease-key-free
-// "lazy delete"). std::priority_queue serves that pattern but costs an
-// allocation per search (its backing vector is a local), and its binary
-// layout touches log2(n) scattered cache lines per sift. This heap fixes
-// both:
+// Nearly every shortest-path kernel in this codebase follows the same
+// pattern: push (key, payload) entries, pop the minimum, skip entries
+// that a cheaper "settled / stale" check proves outdated (decrease-key-
+// free "lazy delete"). The exception is the full-SSSP fill
+// DijkstraSearch::SsspInto, which writes every distance into one |V|
+// array anyway and so runs on an indexed decrease-key heap of vertex ids
+// keyed by that array (sp/dijkstra.h); the lazy kernels stay as its
+// bitwise reference. std::priority_queue serves the lazy pattern but
+// costs an allocation per search (its backing vector is a local), and its
+// binary layout touches log2(n) scattered cache lines per sift. This heap
+// fixes both:
 //
 //   * Flat, caller-owned storage. The heap object IS the scratch: search
 //     objects hold one as a member, clear() between queries keeps the
@@ -43,8 +47,10 @@
 // Sites that need a total order make the id part of the comparator.
 //
 // Allocation accounting: every backing-store growth increments a global
-// relaxed counter. Tests and benchmarks read deltas of
-// FlatHeapAllocStats() around a workload to assert hot loops are
+// relaxed counter, and so does every growth of the search scratch that is
+// not a FlatHeap (CountSearchScratchGrowth: SsspInto's indexed frontier,
+// IncrementalNnSearch's distance map). Tests and benchmarks read deltas
+// of FlatHeapAllocStats() around a workload to assert hot loops are
 // allocation-free after warmup (bench/throughput.cc records the delta
 // per cell as "heap_grows").
 
@@ -79,6 +85,14 @@ inline FlatHeapStats FlatHeapAllocStats() {
       internal_flat_heap::g_grows.load(std::memory_order_relaxed)};
 }
 
+/// Records one backing-store growth of search scratch. FlatHeap calls it
+/// on every growth; so do the search structures that are not FlatHeaps
+/// (DijkstraSearch's indexed frontier, IncrementalNnSearch's distance
+/// map), so FlatHeapAllocStats() covers all search scratch.
+inline void CountSearchScratchGrowth() {
+  internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Min-heap on `Less` (top() is the Less-least element) over flat
 /// contiguous storage. Not thread-safe; one instance per search object.
 template <typename T, typename Less = std::less<T>>
@@ -99,7 +113,7 @@ class FlatHeap {
 
   void reserve(size_t n) {
     if (n > data_.capacity()) {
-      internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
+      CountSearchScratchGrowth();
       data_.reserve(n);
     }
   }
@@ -110,9 +124,7 @@ class FlatHeap {
   }
 
   void push(T value) {
-    if (data_.size() == data_.capacity()) {
-      internal_flat_heap::g_grows.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (data_.size() == data_.capacity()) CountSearchScratchGrowth();
     data_.push_back(std::move(value));
     SiftUp(data_.size() - 1);
   }

@@ -125,11 +125,11 @@ struct BatchOptions {
   bool share_distance_cache = true;
 
   /// Call PrewarmScratch() on every worker engine at construction: each
-  /// worker's search scratch (notably the Dijkstra frontier, up to
-  /// NumArcs() + 1 entries) is grown to its worst case before the first
+  /// worker's search scratch (notably the SSSP frontier: |V| heap slots
+  /// plus |V| positions) is grown to its worst case before the first
   /// batch, so Run() itself never regrows a heap and the solve phase is
   /// allocation-free and deterministic in its allocation behavior.
-  /// Costs O(NumArcs()) bytes per worker up front; disable on
+  /// Costs O(|V|) bytes per worker up front; disable on
   /// memory-tight deployments with very large graphs. Never affects
   /// results.
   bool prewarm_scratch = true;

@@ -98,8 +98,7 @@ class Graph {
   size_t NumEdges() const { return arcs_.size() / 2; }
 
   /// Number of stored arcs (2|E|). Upper-bounds the entries a
-  /// lazy-delete Dijkstra can ever push, so scratch heaps reserved to
-  /// NumArcs() + 1 run allocation-free (see DijkstraSearch).
+  /// lazy-delete Dijkstra can ever push (NumArcs() + 1 with the source).
   size_t NumArcs() const { return arcs_.size(); }
 
   /// Outgoing arcs of `u`.

@@ -15,6 +15,51 @@ namespace {
 using HeapEntry = std::pair<Weight, VertexId>;
 using MinHeap = FlatHeap<HeapEntry>;
 
+// The indexed 4-ary heap of SsspInto: `heap` holds vertex ids, `dist`
+// their keys, and pos[heap[i]] == i for every occupied slot i. Both
+// sifts move a hole instead of swapping and place `v` at the end.
+constexpr size_t kArity = 4;
+
+inline void SiftUp(VertexId* heap, uint32_t* pos, const Weight* dist,
+                   size_t i, VertexId v) {
+  const Weight key = dist[v];
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    const VertexId p = heap[parent];
+    if (!(key < dist[p])) break;
+    heap[i] = p;
+    pos[p] = static_cast<uint32_t>(i);
+    i = parent;
+  }
+  heap[i] = v;
+  pos[v] = static_cast<uint32_t>(i);
+}
+
+inline void SiftDown(VertexId* heap, uint32_t* pos, const Weight* dist,
+                     size_t size, size_t i, VertexId v) {
+  const Weight key = dist[v];
+  while (true) {
+    const size_t first = i * kArity + 1;
+    if (first >= size) break;
+    const size_t last = std::min(first + kArity, size);
+    size_t best = first;
+    Weight best_key = dist[heap[first]];
+    for (size_t c = first + 1; c < last; ++c) {
+      const Weight k = dist[heap[c]];
+      if (k < best_key) {
+        best = c;
+        best_key = k;
+      }
+    }
+    if (!(best_key < key)) break;
+    heap[i] = heap[best];
+    pos[heap[i]] = static_cast<uint32_t>(i);
+    i = best;
+  }
+  heap[i] = v;
+  pos[v] = static_cast<uint32_t>(i);
+}
+
 }  // namespace
 
 std::vector<Weight> DijkstraSssp(const Graph& graph, VertexId source) {
@@ -105,9 +150,12 @@ DijkstraSearch::DijkstraSearch(const Graph& graph)
       settled_(graph.NumVertices(), 0) {}
 
 void DijkstraSearch::ReserveFullSearch() {
-  // One initial push plus at most one push per strict distance
-  // improvement, of which there are at most NumArcs().
-  heap_.reserve(graph_.NumArcs() + 1);
+  const size_t n = graph_.NumVertices();
+  if (frontier_.size() < n) {
+    CountSearchScratchGrowth();
+    frontier_.resize(n);
+    frontier_pos_.resize(n);
+  }
 }
 
 Weight DijkstraSearch::Distance(VertexId source, VertexId target) {
@@ -136,22 +184,30 @@ Weight DijkstraSearch::Distance(VertexId source, VertexId target) {
 
 void DijkstraSearch::SsspInto(VertexId source, std::vector<Weight>& out) {
   FANNR_CHECK(source < graph_.NumVertices());
+  ReserveFullSearch();
   // A full SSSP writes every vertex, so `out` itself serves as the
-  // distance array — no TimestampedArray indirection and no copy-out
-  // pass. assign() on an already-|V|-sized vector reuses its storage.
+  // distance array and the heap's key array — no TimestampedArray
+  // indirection and no copy-out pass. assign() on an already-|V|-sized
+  // vector reuses its storage.
   out.assign(graph_.NumVertices(), kInfWeight);
-  heap_.clear();
-  out[source] = 0.0;
-  heap_.push({0.0, source});
-  while (!heap_.empty()) {
-    auto [d, u] = heap_.top();
-    heap_.pop();
-    if (d > out[u]) continue;
+  Weight* const dist = out.data();
+  VertexId* const heap = frontier_.data();
+  uint32_t* const pos = frontier_pos_.data();
+  size_t size = 0;
+  dist[source] = 0.0;
+  SiftUp(heap, pos, dist, size++, source);
+  while (size > 0) {
+    const VertexId u = heap[0];
+    const Weight d = dist[u];
+    if (--size > 0) SiftDown(heap, pos, dist, size, 0, heap[size]);
     for (const Arc& a : graph_.Neighbors(u)) {
       const Weight nd = d + a.weight;
-      if (nd < out[a.to]) {
-        out[a.to] = nd;
-        heap_.push({nd, a.to});
+      const Weight old = dist[a.to];
+      if (nd < old) {
+        dist[a.to] = nd;
+        // Unreached vertices enter at the bottom; a finite `old` means
+        // a.to is in the frontier (settled vertices are never improved).
+        SiftUp(heap, pos, dist, old == kInfWeight ? size++ : pos[a.to], a.to);
       }
     }
   }

@@ -6,6 +6,7 @@
 #ifndef FANNR_SP_DIJKSTRA_H_
 #define FANNR_SP_DIJKSTRA_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -51,19 +52,27 @@ class DijkstraSearch {
                                 const std::vector<VertexId>& targets);
 
   /// Full SSSP from `source` written into `out` (resized to |V|;
-  /// kInfWeight = unreachable). Equivalent to DijkstraSssp but reuses
-  /// this object's scratch, so a worker thread running many sources only
-  /// allocates the output. The result is identical (bit for bit) for a
-  /// given graph and source regardless of which search object ran it.
+  /// kInfWeight = unreachable). Equal byte for byte to DijkstraSssp, but
+  /// reuses this object's scratch, so a worker thread running many
+  /// sources only allocates the output.
+  ///
+  /// Runs on an indexed 4-ary heap with decrease-key instead of the lazy
+  /// FlatHeap: the heap holds vertex ids (4 bytes, each at most once)
+  /// and reads their keys from `out` itself, and a position array says
+  /// where each vertex sits. A vertex is in the frontier exactly when its
+  /// distance is finite and it is not yet settled, and a strict
+  /// improvement can only reach such a vertex (weights are positive), so
+  /// nothing needs resetting between searches. The tie order of the heap
+  /// cannot show in the result: the final d(v) is the minimum of
+  /// fl(d(u) + w(u, v)) over the neighbours u with d(u) < d(v), and all
+  /// of those settle before v in any label-setting order.
   void SsspInto(VertexId source, std::vector<Weight>& out);
 
-  /// Grows the frontier to the worst case of a full search up front:
-  /// lazy-deletion Dijkstra pushes once per strict improvement, at most
-  /// NumArcs() + 1 times, so after this call no search on this object
-  /// ever regrows the heap. Costs O(NumArcs()) bytes of memory; called
-  /// by batch workers at construction so the solve phase is
-  /// allocation-free from the first query (see
-  /// BatchOptions::prewarm_scratch).
+  /// Allocates the SsspInto frontier up front: |V| heap slots plus |V|
+  /// positions (8 bytes per vertex), after which no SsspInto on this
+  /// object allocates scratch. Called by batch workers at construction
+  /// so the solve phase is allocation-free from the first query (see
+  /// BatchOptions::prewarm_scratch). Counted in FlatHeapAllocStats().
   void ReserveFullSearch();
 
   const Graph& graph() const { return graph_; }
@@ -72,9 +81,13 @@ class DijkstraSearch {
   const Graph& graph_;
   TimestampedArray<Weight> dist_;
   TimestampedArray<uint8_t> settled_;
-  // Persistent frontier: clear() keeps capacity, so steady-state queries
-  // run with zero heap allocations.
+  // Persistent lazy frontier of Distance/Distances: clear() keeps
+  // capacity, so steady-state queries run with zero heap allocations.
   FlatHeap<std::pair<Weight, VertexId>> heap_;
+  // SsspInto's indexed frontier, sized |V| by ReserveFullSearch: heap
+  // slots (vertex ids) and each heap vertex's slot index.
+  std::vector<VertexId> frontier_;
+  std::vector<uint32_t> frontier_pos_;
 };
 
 }  // namespace fannr

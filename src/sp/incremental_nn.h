@@ -14,13 +14,19 @@
 //
 // Distance state is kept in a hash map rather than an O(|V|) array so that
 // |Q| concurrent instances stay within the paper's O(|Q||V|) worst-case
-// bound but use memory proportional to the region actually explored.
+// bound but use memory proportional to the region actually explored. The
+// map is a flat open-addressing table (linear probing, power-of-two
+// capacity kept at most half full, kInvalidVertex marking an empty slot):
+// one contiguous array instead of one node allocation per entry, so a
+// probe usually costs one cache line. Its growths are counted in
+// FlatHeapAllocStats(), like the frontier's.
 
 #ifndef FANNR_SP_INCREMENTAL_NN_H_
 #define FANNR_SP_INCREMENTAL_NN_H_
 
+#include <cstddef>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_heap.h"
@@ -73,11 +79,33 @@ class IncrementalNnSearch {
     }
   };
 
+  // Open-addressing vertex -> distance map (see the file comment).
+  class DistanceMap {
+   public:
+    /// The stored distance of `v`, or nullptr when `v` is absent.
+    Weight* Find(VertexId v);
+    /// Inserts (v, dist) when `v` is absent. Returns the stored distance
+    /// of `v` and whether it was inserted.
+    std::pair<Weight*, bool> TryEmplace(VertexId v, Weight dist);
+
+   private:
+    struct Slot {
+      VertexId vertex = kInvalidVertex;
+      Weight dist = 0.0;
+    };
+    size_t Home(VertexId v) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(capacity)
+  };
+
   const Graph& graph_;
   const IndexedVertexSet& targets_;
   VertexId source_;
   FlatHeap<HeapEntry, DistLess> frontier_;
-  std::unordered_map<VertexId, Weight> dist_;
+  DistanceMap dist_;
   std::optional<Hit> buffered_;
   size_t settled_count_ = 0;
   bool exhausted_ = false;

@@ -47,33 +47,6 @@ double MaxX(const Graph& graph) {
   return max_x;
 }
 
-// A perfectly regular grid: every edge weight is exactly `cell`, so
-// aggregate distances are small exact multiples of it and distance ties
-// are bitwise-equal — the shape that exposes tie-breaking bugs. Built
-// directly (not via GenerateGridNetwork, which perturbs every weight by
-// +1e-9 to keep generated weights strictly above the Euclidean bound —
-// that perturbation would destroy the exact ties this shape exists for).
-Graph MakeTieGrid(size_t rows, size_t cols, Rng&) {
-  const double cell = 1000.0;
-  GraphBuilder builder;
-  auto id = [cols](size_t r, size_t c) {
-    return static_cast<VertexId>(r * cols + c);
-  };
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      builder.AddVertex({static_cast<double>(c) * cell,
-                         static_cast<double>(r) * cell});
-    }
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) builder.AddEdge(id(r, c), id(r, c + 1), cell);
-      if (r + 1 < rows) builder.AddEdge(id(r, c), id(r + 1, c), cell);
-    }
-  }
-  return builder.Build();
-}
-
 Graph MakeJitteredGrid(size_t rows, size_t cols, Rng& rng) {
   GridNetworkOptions options;
   options.rows = rows;
@@ -120,6 +93,31 @@ std::vector<VertexId> SampleSet(size_t num_vertices, size_t count, Rng& rng,
 
 }  // namespace
 
+// Built directly, not via GenerateGridNetwork, which perturbs every
+// weight by +1e-9 to keep generated weights strictly above the Euclidean
+// bound — that perturbation would destroy the exact ties this shape
+// exists for.
+Graph MakeTieGrid(size_t rows, size_t cols) {
+  const double cell = 1000.0;
+  GraphBuilder builder;
+  auto id = [cols](size_t r, size_t c) {
+    return static_cast<VertexId>(r * cols + c);
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      builder.AddVertex({static_cast<double>(c) * cell,
+                         static_cast<double>(r) * cell});
+    }
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) builder.AddEdge(id(r, c), id(r, c + 1), cell);
+      if (r + 1 < rows) builder.AddEdge(id(r, c), id(r + 1, c), cell);
+    }
+  }
+  return builder.Build();
+}
+
 Scenario GenerateScenario(uint64_t seed) {
   Rng rng(seed);
   Scenario scenario;
@@ -133,7 +131,7 @@ Scenario GenerateScenario(uint64_t seed) {
     case 0: {
       const size_t rows = 3 + rng.NextIndex(5);
       const size_t cols = 3 + rng.NextIndex(5);
-      graph = std::make_shared<Graph>(MakeTieGrid(rows, cols, rng));
+      graph = std::make_shared<Graph>(MakeTieGrid(rows, cols));
       scenario.note = "tie-grid";
       break;
     }
@@ -152,8 +150,8 @@ Scenario GenerateScenario(uint64_t seed) {
     }
     case 3: {
       // Two tie-grids, disjoint: maximal tie density plus disconnection.
-      Graph a = MakeTieGrid(3 + rng.NextIndex(3), 3 + rng.NextIndex(3), rng);
-      Graph b = MakeTieGrid(3 + rng.NextIndex(3), 3 + rng.NextIndex(3), rng);
+      Graph a = MakeTieGrid(3 + rng.NextIndex(3), 3 + rng.NextIndex(3));
+      Graph b = MakeTieGrid(3 + rng.NextIndex(3), 3 + rng.NextIndex(3));
       GraphBuilder builder;
       AppendComponent(builder, a, 0.0, 0.0);
       AppendComponent(builder, b, MaxX(a) + 50000.0, 0.0);

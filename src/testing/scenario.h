@@ -52,6 +52,11 @@ struct Scenario {
   std::string note;   // human-readable description of the shape
 };
 
+/// A rows x cols lattice whose every edge weighs exactly 1000, so
+/// aggregate distances are small exact multiples of it and equal-length
+/// paths tie bitwise — the shape that exposes tie-breaking bugs.
+Graph MakeTieGrid(size_t rows, size_t cols);
+
 /// Deterministically generates the scenario for `seed`.
 Scenario GenerateScenario(uint64_t seed);
 

@@ -158,10 +158,10 @@ TEST(FlatHeapTest, ReserveGrowsOnceAndCountsOnce) {
 }
 
 // --- Solve-phase allocation determinism ----------------------------------
-// BatchOptions::prewarm_scratch (default on) grows every worker's
-// Dijkstra frontier to its worst case — NumArcs() + 1 entries, the
-// lazy-deletion push bound — at engine construction. The solve phase
-// therefore performs EXACTLY ZERO heap growths under every (threads,
+// BatchOptions::prewarm_scratch (default on) grows every worker's SSSP
+// frontier to its worst case — |V| heap slots plus |V| positions, see
+// DijkstraSearch::ReserveFullSearch — at engine construction. The solve
+// phase therefore performs EXACTLY ZERO heap growths under every (threads,
 // schedule) configuration, which makes the heap_grows counter a
 // deterministic per-configuration quantity instead of a race-dependent
 // one. bench/throughput.cc splits the counter by phase and

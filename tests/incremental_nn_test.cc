@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
+#include "common/flat_heap.h"
 #include "graph/builder.h"
 #include "sp/dijkstra.h"
+#include "testing/scenario.h"
 #include "test_util.h"
 
 namespace fannr {
@@ -38,7 +43,9 @@ TEST(IncrementalNnTest, DistancesAreExact) {
   IncrementalNnSearch search(g, source, target_set);
   size_t reported = 0;
   while (auto hit = search.Next()) {
-    EXPECT_NEAR(hit->distance, truth[hit->vertex], 1e-9);
+    EXPECT_EQ(std::bit_cast<uint64_t>(hit->distance),
+              std::bit_cast<uint64_t>(truth[hit->vertex]))
+        << "vertex " << hit->vertex;
     ++reported;
   }
   EXPECT_EQ(reported, targets.size());
@@ -134,9 +141,42 @@ TEST(IncrementalNnTest, ManyConcurrentSearchesStayIndependent) {
     for (VertexId t : targets) target_dists.push_back(truth[t]);
     std::sort(target_dists.begin(), target_dists.end());
     for (int j = 0; j < 3; ++j) {
-      EXPECT_NEAR(got[i][j].distance, target_dists[j], 1e-9)
+      EXPECT_EQ(got[i][j].distance, target_dists[j])
           << "source " << sources[i] << " rank " << j;
     }
+  }
+}
+
+TEST(IncrementalNnTest, TieGridHitsEqualDijkstraBitwiseInOrder) {
+  // Every vertex is a target, so the search settles the whole 40x40 grid:
+  // the distance map grows from its initial 64 slots to 4096, and the
+  // equal-weight lattice makes long runs of bitwise-equal distances.
+  const Graph g = testing::MakeTieGrid(40, 40);
+  std::vector<VertexId> all(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) all[v] = v;
+  const IndexedVertexSet target_set(g.NumVertices(), all);
+  for (const VertexId source : {VertexId{0}, VertexId{820}, VertexId{1599}}) {
+    const std::vector<Weight> truth = DijkstraSssp(g, source);
+    const uint64_t grows_before = FlatHeapAllocStats().grows;
+    IncrementalNnSearch search(g, source, target_set);
+    std::vector<bool> seen(g.NumVertices(), false);
+    Weight prev = 0.0;
+    size_t reported = 0;
+    while (auto hit = search.Next()) {
+      ASSERT_FALSE(seen[hit->vertex]) << "reported twice: " << hit->vertex;
+      seen[hit->vertex] = true;
+      EXPECT_EQ(std::bit_cast<uint64_t>(hit->distance),
+                std::bit_cast<uint64_t>(truth[hit->vertex]))
+          << "source " << source << " vertex " << hit->vertex;
+      EXPECT_GE(hit->distance, prev) << "source " << source;
+      prev = hit->distance;
+      ++reported;
+    }
+    EXPECT_EQ(reported, g.NumVertices());
+    EXPECT_EQ(search.settled_count(), g.NumVertices());
+    // 64 -> 4096 slots is 7 map allocations, each counted.
+    EXPECT_GE(FlatHeapAllocStats().grows - grows_before, 7u)
+        << "distance-map growths must be counted";
   }
 }
 
