@@ -110,10 +110,18 @@ grep -q '"router.catch_up.records": [1-9]' "$WORK/stats.json" || {
 }
 echo "replica rejoined via WAL catch-up"
 
-# Clean shutdown: router via SHUTDOWN frame, shards via SIGTERM; every
-# process must exit 0 (shards: drain within deadline).
-"$CLIENT" --port "$ROUTER_PORT" --shutdown
-wait "$ROUTER_PID" || { echo "FAIL: router exited nonzero"; exit 1; }
+# Clean shutdown: router first, then shards, each via SIGTERM; every
+# process must exit 0 (its drain met the deadline).
+kill -TERM "$ROUTER_PID"
+wait "$ROUTER_PID" || {
+  cat "$WORK/router.log"
+  echo "FAIL: router exited nonzero after SIGTERM"
+  exit 1
+}
+grep -q "within deadline" "$WORK/router.log" || {
+  echo "FAIL: router drain not within deadline"
+  exit 1
+}
 for id in 0 1; do
   pid_var="SHARD${id}_PID"
   kill -TERM "${!pid_var}"

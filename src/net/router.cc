@@ -1,28 +1,15 @@
 #include "net/router.h"
 
-#include <poll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 #include "engine/batch_engine.h"
 #include "fann/query.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace fannr::net {
 
 namespace {
-
-WireResult RejectedWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kRejected);
-  r.error = std::move(error);
-  return r;
-}
 
 /// Canonical total order over feasible answers: the exact solvers all
 /// return the (distance, vertex id)-minimal answer within their P, so
@@ -128,21 +115,23 @@ MergedAnswer MergeShardAnswers(const std::vector<ShardAnswer>& answers) {
   return merged;
 }
 
-/// Per-connection state: the accepted socket, its service thread, and
-/// this connection's private query clients (one per shard, connected
-/// lazily; FannClient is not thread-safe, so they are never shared).
-struct FannRouter::ConnEntry {
-  Socket sock;
-  std::thread thread;
-  std::atomic<bool> done{false};
-  std::vector<FannClient> shard_clients;
-};
+namespace {
 
-FannRouter::FannRouter(const ShardPlan& plan, RouterConfig config)
-    : plan_(plan), config_(std::move(config)) {
-  m_queries_ = metrics_.RegisterCounter("router.requests.query");
-  m_batches_ = metrics_.RegisterCounter("router.requests.batch");
-  m_updates_ = metrics_.RegisterCounter("router.requests.update");
+/// The router's transport: the listen address, core defaults otherwise.
+ServerConfig ListenAt(const RouterConfig& config) {
+  ServerConfig serving;
+  serving.host = config.host;
+  serving.port = config.port;
+  return serving;
+}
+
+}  // namespace
+
+FannRouter::FannRouter(const ShardPlan& plan, const RouterConfig& config)
+    : ServingCore("router", ListenAt(config)),
+      plan_(plan),
+      shards_(config.shards),
+      wal_(config.wal) {
   m_fanouts_ = metrics_.RegisterCounter("router.fanout.sub_batches");
   m_retries_ = metrics_.RegisterCounter("router.fanout.epoch_retries");
   m_stale_rejections_ = metrics_.RegisterCounter("router.stale_rejections");
@@ -150,124 +139,142 @@ FannRouter::FannRouter(const ShardPlan& plan, RouterConfig config)
   m_shard_errors_ = metrics_.RegisterCounter("router.shard_errors");
 }
 
-FannRouter::~FannRouter() {
-  RequestShutdown();
-  Wait();
-  if (stop_event_ >= 0) ::close(stop_event_);
-}
+FannRouter::~FannRouter() { Stop(); }
 
 bool FannRouter::Start(std::string* error) {
   auto fail = [&](const std::string& reason) {
     if (error != nullptr) *error = reason;
     return false;
   };
-  if (config_.shards.size() != plan_.num_shards()) {
-    return fail("router config lists " + std::to_string(config_.shards.size()) +
+  if (shards_.size() != plan_.num_shards()) {
+    return fail("router config lists " + std::to_string(shards_.size()) +
                 " shards but the plan has " +
                 std::to_string(plan_.num_shards()));
   }
 
   // Adopt the durable history: the fleet position is wherever the last
   // acknowledged update left it.
-  if (config_.wal != nullptr) {
-    history_ = config_.wal->records();
-    repl_epoch_.store(config_.wal->end_epoch());
-  }
+  if (wal_ != nullptr) repl_epoch_.store(wal_->end_epoch());
 
   // Every shard must be reachable at start, and none may be ahead of
   // the history (an ahead shard means this router's history is stale —
   // serving through it would silently fork the epoch sequence).
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    repl_clients_.resize(config_.shards.size());
-    for (size_t s = 0; s < config_.shards.size(); ++s) {
-      std::string catch_up_error;
-      if (!EnsureReplClientLocked(s)) {
-        return fail("shard " + std::to_string(s) + " at " +
-                    config_.shards[s].host + ":" +
-                    std::to_string(config_.shards[s].port) + " is unreachable");
-      }
-      if (!CatchUpShardLocked(s, &catch_up_error)) {
-        return fail("shard " + std::to_string(s) +
-                    " could not be brought to epoch " +
-                    std::to_string(repl_epoch_.load()) + ": " +
-                    catch_up_error);
-      }
+  clients_.resize(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::string catch_up_error;
+    if (!EnsureClient(s)) {
+      return fail("shard " + std::to_string(s) + " at " + shards_[s].host +
+                  ":" + std::to_string(shards_[s].port) + " is unreachable");
+    }
+    if (!CatchUpShard(s, &catch_up_error)) {
+      return fail("shard " + std::to_string(s) +
+                  " could not be brought to epoch " +
+                  std::to_string(repl_epoch_.load()) + ": " + catch_up_error);
     }
   }
-
-  stop_event_ = ::eventfd(0, EFD_CLOEXEC);
-  if (stop_event_ < 0) return fail("eventfd failed");
   std::string listen_error;
-  listener_ = TcpListen(config_.host, config_.port, &port_, &listen_error);
-  if (!listener_.valid()) return fail("listen failed: " + listen_error);
-  accept_thread_ = std::thread(&FannRouter::AcceptLoop, this);
+  if (!ServingCore::Start(&listen_error)) {
+    return fail("listen failed: " + listen_error);
+  }
   return true;
 }
 
-void FannRouter::RequestShutdown() {
-  if (stop_.exchange(true)) return;
-  if (stop_event_ >= 0) {
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(stop_event_, &one, sizeof(one));
-  }
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (const std::unique_ptr<ConnEntry>& conn : conns_) {
-    conn->sock.ShutdownBoth();
-  }
-}
-
-void FannRouter::Wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Joining while holding conn_mu_ would deadlock against the very
-  // connection thread that delivered the SHUTDOWN frame: it still needs
-  // conn_mu_ (inside RequestShutdown) before it can exit. Detach the
-  // entries under the lock, join outside it.
-  std::vector<std::unique_ptr<ConnEntry>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conns_);
-  }
-  for (const std::unique_ptr<ConnEntry>& conn : conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-}
-
-void FannRouter::ReapFinishedLocked() {
-  auto it = conns_.begin();
-  while (it != conns_.end()) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
+void FannRouter::Execute(const std::vector<WorkItem*>& items) {
+  WorkItem& first = *items.front();
+  switch (first.opcode) {
+    case Opcode::kQuery: {
+      // The burst fans out as one sub-batch per shard; every query
+      // keeps its own deadline, less its own wait in the queue.
+      std::vector<WireQuery> jobs;
+      std::vector<double> waited_ms;
+      jobs.reserve(items.size());
+      waited_ms.reserve(items.size());
+      for (WorkItem* item : items) {
+        jobs.push_back(std::move(item->query.query));
+        waited_ms.push_back(item->e2e_timer.Millis());
+      }
+      const FanOutOutcome outcome =
+          Route(std::move(jobs), /*batch_deadline_ms=*/0.0, waited_ms);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (outcome.is_error) {
+          EnqueueError(items[i]->conn, items[i]->request_id,
+                       outcome.error_code, outcome.error_message);
+          continue;
+        }
+        QueryResponse response;
+        response.graph_epoch = outcome.graph_epoch;
+        response.result = outcome.results[i];
+        EnqueueFrame(items[i]->conn, Opcode::kQueryResult,
+                     items[i]->request_id, EncodeQueryResponse(response));
+      }
+      return;
     }
+    case Opcode::kBatch: {
+      const std::vector<double> waited_ms(first.batch.jobs.size(),
+                                          first.e2e_timer.Millis());
+      FanOutOutcome outcome = Route(std::move(first.batch.jobs),
+                                    first.batch.deadline_ms, waited_ms);
+      if (outcome.is_error) {
+        EnqueueError(first.conn, first.request_id, outcome.error_code,
+                     outcome.error_message);
+        return;
+      }
+      BatchResponse response;
+      response.graph_epoch = outcome.graph_epoch;
+      response.results = std::move(outcome.results);
+      EnqueueFrame(first.conn, Opcode::kBatchResult, first.request_id,
+                   EncodeBatchResponse(response));
+      return;
+    }
+    case Opcode::kUpdateWeights:
+      HandleUpdate(first);
+      return;
+    default:
+      // Replication is router -> shard (a client replicating through
+      // the router would fork the epoch sequence), and standing queries
+      // are a single server's feature.
+      EnqueueError(first.conn, first.request_id, ErrorCode::kUnknownOpcode,
+                   std::string(OpcodeName(
+                       static_cast<uint16_t>(first.opcode))) +
+                       " is not served by the router");
+      return;
   }
 }
 
-void FannRouter::AcceptLoop() {
-  while (!stop_.load()) {
-    struct pollfd fds[2];
-    fds[0] = {listener_.fd(), POLLIN, 0};
-    fds[1] = {stop_event_, POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
+FannRouter::FanOutOutcome FannRouter::Route(
+    std::vector<WireQuery> jobs, double batch_deadline_ms,
+    const std::vector<double>& waited_ms) {
+  std::vector<WireResult> expired(jobs.size());
+  std::vector<WireQuery> live;
+  std::vector<size_t> live_slot;
+  live.reserve(jobs.size());
+  live_slot.reserve(jobs.size());
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    double remaining_ms = 0.0;
+    if (!ChargeQueueWait(jobs[j].deadline_ms, batch_deadline_ms,
+                         /*default_ms=*/0.0, waited_ms[j], &remaining_ms,
+                         &expired[j])) {
+      continue;
     }
-    if (fds[1].revents != 0 || stop_.load()) break;
-    if (fds[0].revents == 0) continue;
-    std::string accept_error;
-    Socket sock = TcpAccept(listener_, &accept_error);
-    if (!sock.valid()) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    ReapFinishedLocked();
-    conns_.push_back(std::make_unique<ConnEntry>());
-    ConnEntry* entry = conns_.back().get();
-    entry->sock = std::move(sock);
-    entry->shard_clients.resize(config_.shards.size());
-    entry->thread = std::thread(&FannRouter::ServeConnection, this, entry);
+    // A job with no deadline keeps its own field, so the shard applies
+    // its default exactly as it would for a direct client.
+    if (remaining_ms > 0.0) jobs[j].deadline_ms = remaining_ms;
+    live.push_back(std::move(jobs[j]));
+    live_slot.push_back(j);
   }
-  listener_.Close();
+
+  FanOutOutcome outcome;
+  outcome.graph_epoch = repl_epoch_.load();
+  if (!live.empty()) {
+    outcome = FanOut(live);
+    if (outcome.is_error) return outcome;
+  }
+  std::vector<WireResult> results = std::move(expired);
+  for (size_t k = 0; k < live_slot.size(); ++k) {
+    results[live_slot[k]] = std::move(outcome.results[k]);
+  }
+  outcome.results = std::move(results);
+  return outcome;
 }
 
 FannRouter::JobSplit FannRouter::SplitJob(const WireQuery& job) const {
@@ -294,13 +301,13 @@ FannRouter::JobSplit FannRouter::SplitJob(const WireQuery& job) const {
 }
 
 FannRouter::FanOutOutcome FannRouter::FanOutOnce(
-    ConnEntry& conn, const std::vector<WireQuery>& jobs,
-    double batch_deadline_ms) {
+    const std::vector<WireQuery>& jobs) {
   FanOutOutcome outcome;
-  const size_t num_shards = config_.shards.size();
+  const size_t num_shards = shards_.size();
 
   // Build one sub-batch per shard: job j contributes its shard-owned
-  // P-slice to every shard that owns part of its P.
+  // P-slice to every shard that owns part of its P. Every job carries
+  // its own deadline, so the sub-batches carry none.
   std::vector<BatchRequest> sub_batches(num_shards);
   std::vector<std::vector<size_t>> sub_jobs(num_shards);  // -> job index
   std::vector<size_t> fan_degree(jobs.size(), 0);
@@ -328,13 +335,11 @@ FannRouter::FanOutOutcome FannRouter::FanOutOnce(
   std::vector<ShardWave> wave;
   for (uint32_t s = 0; s < num_shards; ++s) {
     if (sub_batches[s].jobs.empty()) continue;
-    sub_batches[s].deadline_ms = batch_deadline_ms;
     ShardWave w;
     w.shard = s;
     w.batch_level.shard = s;
-    FannClient& client = conn.shard_clients[s];
-    if (!client.connected() &&
-        !client.Connect(config_.shards[s].host, config_.shards[s].port)) {
+    FannClient& client = clients_[s];
+    if (!EnsureClient(s)) {
       w.batch_level.transport_ok = false;
       w.batch_level.error_message = client.last_error();
       wave.push_back(std::move(w));
@@ -354,7 +359,7 @@ FannRouter::FanOutOutcome FannRouter::FanOutOnce(
 
   for (ShardWave& w : wave) {
     if (!w.sent) continue;
-    FannClient& client = conn.shard_clients[w.shard];
+    FannClient& client = clients_[w.shard];
     FrameHeader header;
     std::vector<uint8_t> payload;
     bool got = false;
@@ -435,11 +440,10 @@ FannRouter::FanOutOutcome FannRouter::FanOutOnce(
   return outcome;
 }
 
-FannRouter::FanOutOutcome FannRouter::FanOut(ConnEntry& conn,
-                                             const std::vector<WireQuery>& jobs,
-                                             double batch_deadline_ms) {
+FannRouter::FanOutOutcome FannRouter::FanOut(
+    const std::vector<WireQuery>& jobs) {
   const uint64_t admitted = repl_epoch_.load();
-  FanOutOutcome outcome = FanOutOnce(conn, jobs, batch_deadline_ms);
+  FanOutOutcome outcome = FanOutOnce(jobs);
   if (outcome.is_error || !outcome.epochs_disagree) return outcome;
 
   // Shards answered under different epochs: a straggler replica (or an
@@ -448,7 +452,7 @@ FannRouter::FanOutOutcome FannRouter::FanOut(ConnEntry& conn,
   // result mixing weights from different epochs.
   metrics_.Add(m_retries_, 1);
   SyncShards();
-  outcome = FanOutOnce(conn, jobs, batch_deadline_ms);
+  outcome = FanOutOnce(jobs);
   if (outcome.is_error || !outcome.epochs_disagree) return outcome;
 
   metrics_.Add(m_stale_rejections_, 1);
@@ -458,23 +462,22 @@ FannRouter::FanOutOutcome FannRouter::FanOut(ConnEntry& conn,
   return outcome;
 }
 
-bool FannRouter::EnsureReplClientLocked(size_t shard) {
-  FannClient& client = repl_clients_[shard];
+bool FannRouter::EnsureClient(size_t shard) {
+  FannClient& client = clients_[shard];
   if (client.connected()) return true;
-  return client.Connect(config_.shards[shard].host,
-                        config_.shards[shard].port);
+  return client.Connect(shards_[shard].host, shards_[shard].port);
 }
 
-bool FannRouter::CatchUpShardLocked(size_t shard, std::string* error) {
+bool FannRouter::CatchUpShard(size_t shard, std::string* error) {
   auto fail = [&](const std::string& reason) {
     if (error != nullptr) *error = reason;
     metrics_.Add(m_shard_errors_, 1);
     return false;
   };
-  if (!EnsureReplClientLocked(shard)) {
+  if (!EnsureClient(shard)) {
     return fail("unreachable");
   }
-  FannClient& client = repl_clients_[shard];
+  FannClient& client = clients_[shard];
 
   // An empty REPL_APPLY is a pure position probe: status 0 means the
   // shard is exactly at the fleet epoch, status 2 reports where it
@@ -502,7 +505,7 @@ bool FannRouter::CatchUpShardLocked(size_t shard, std::string* error) {
   // below its epoch are already part of its past; everything at or
   // above replays in order and walks it to the fleet epoch.
   size_t replayed = 0;
-  for (const dynamic::WalRecord& record : history_) {
+  for (const dynamic::WalRecord& record : history()) {
     if (record.position < shard_epoch) continue;
     ReplApplyRequest apply;
     apply.position = record.position;
@@ -537,29 +540,25 @@ bool FannRouter::CatchUpShardLocked(size_t shard, std::string* error) {
 }
 
 void FannRouter::SyncShards() {
-  std::lock_guard<std::mutex> lock(repl_mu_);
-  for (size_t s = 0; s < config_.shards.size(); ++s) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
     std::string sync_error;
-    (void)CatchUpShardLocked(s, &sync_error);  // unreachable shards wait
+    (void)CatchUpShard(s, &sync_error);  // unreachable shards wait
   }
 }
 
-void FannRouter::HandleUpdate(const UpdateWeightsRequest& request,
-                              UpdateWeightsResponse& response,
-                              ErrorCode* error_code,
-                              std::string* error_message) {
-  std::lock_guard<std::mutex> lock(repl_mu_);
+void FannRouter::HandleUpdate(WorkItem& item) {
   ReplApplyRequest repl;
   repl.position = repl_epoch_.load();
-  repl.entries = request.entries;
+  repl.entries = std::move(item.update.entries);
 
+  UpdateWeightsResponse response;
   bool have_outcome = false;
-  for (size_t s = 0; s < config_.shards.size(); ++s) {
-    if (!EnsureReplClientLocked(s)) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!EnsureClient(s)) {
       metrics_.Add(m_shard_errors_, 1);
       continue;  // down replica: the history will catch it up later
     }
-    FannClient& client = repl_clients_[s];
+    FannClient& client = clients_[s];
     UpdateWeightsResponse shard_response;
     if (!client.ReplApply(repl, shard_response)) {
       client.Close();
@@ -569,7 +568,7 @@ void FannRouter::HandleUpdate(const UpdateWeightsRequest& request,
     if (shard_response.status == 2) {
       // Behind (it restarted): walk it to the fleet epoch, then retry.
       std::string catch_up_error;
-      if (!CatchUpShardLocked(s, &catch_up_error) ||
+      if (!CatchUpShard(s, &catch_up_error) ||
           !client.ReplApply(repl, shard_response) ||
           shard_response.status == 2) {
         metrics_.Add(m_shard_errors_, 1);
@@ -579,7 +578,8 @@ void FannRouter::HandleUpdate(const UpdateWeightsRequest& request,
     if (shard_response.status == 1) {
       // Validation rejection is deterministic — every replica would
       // answer identically and nothing was applied anywhere.
-      response = shard_response;
+      EnqueueFrame(item.conn, Opcode::kUpdateResult, item.request_id,
+                   EncodeUpdateWeightsResponse(shard_response));
       return;
     }
     if (!have_outcome) {
@@ -591,177 +591,36 @@ void FannRouter::HandleUpdate(const UpdateWeightsRequest& request,
   }
 
   if (!have_outcome) {
-    *error_code = ErrorCode::kInternal;
-    *error_message = "update reached no shard: all replicas unreachable";
+    EnqueueError(item.conn, item.request_id, ErrorCode::kInternal,
+                 "update reached no shard: all replicas unreachable");
     return;
   }
 
   dynamic::WalRecord record;
   record.position = repl.position;
   record.new_epoch = response.new_epoch;
-  record.entries.reserve(request.entries.size());
-  for (const UpdateWeightsRequest::Entry& e : request.entries) {
+  record.entries.reserve(repl.entries.size());
+  for (const UpdateWeightsRequest::Entry& e : repl.entries) {
     record.entries.push_back({e.u, e.v, e.weight});
   }
-  if (config_.wal != nullptr) (void)config_.wal->Append(record);
-  history_.push_back(std::move(record));
-  repl_epoch_.store(response.new_epoch);
-}
-
-void FannRouter::ServeConnection(ConnEntry* entry) {
-  Socket& sock = entry->sock;
-  auto write_frame = [&](Opcode opcode, uint64_t request_id,
-                         std::span<const uint8_t> payload) {
-    const std::vector<uint8_t> frame =
-        EncodeFrame(static_cast<uint16_t>(opcode), request_id, payload);
-    return sock.WriteFull(frame.data(), frame.size());
-  };
-  auto write_error = [&](uint64_t request_id, ErrorCode code,
-                         std::string message) {
-    ErrorResponse err;
-    err.code = code;
-    err.message = std::move(message);
-    return write_frame(Opcode::kError, request_id, EncodeErrorResponse(err));
-  };
-
-  while (!stop_.load()) {
-    uint8_t header_bytes[kFrameHeaderBytes];
-    if (!sock.ReadFull(header_bytes, sizeof(header_bytes))) break;
-    FrameHeader header;
-    if (!DecodeFrameHeader(header_bytes, header)) break;
-    bool fatal = false;
-    const std::string envelope_error = FrameEnvelopeError(header, &fatal);
-    if (fatal) break;
-    std::vector<uint8_t> payload(header.payload_length);
-    if (header.payload_length > 0 &&
-        !sock.ReadFull(payload.data(), payload.size())) {
-      break;
-    }
-    if (!envelope_error.empty()) {
-      if (!write_error(header.request_id,
-                       header.version != kProtocolVersion
-                           ? ErrorCode::kUnsupportedVersion
-                           : ErrorCode::kUnknownOpcode,
-                       envelope_error)) {
-        break;
-      }
-      continue;
-    }
-
-    bool ok = true;
-    switch (static_cast<Opcode>(header.opcode)) {
-      case Opcode::kPing:
-        ok = write_frame(Opcode::kPong, header.request_id, {});
-        break;
-      case Opcode::kStats: {
-        StatsResponse stats;
-        stats.json = StatsJson();
-        ok = write_frame(Opcode::kStatsResult, header.request_id,
-                         EncodeStatsResponse(stats));
-        break;
-      }
-      case Opcode::kShutdown:
-        ok = write_frame(Opcode::kShutdownAck, header.request_id, {});
-        RequestShutdown();
-        break;
-      case Opcode::kQuery: {
-        metrics_.Add(m_queries_, 1);
-        QueryRequest request;
-        if (!DecodeQueryRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable QUERY payload");
-          break;
-        }
-        const FanOutOutcome outcome =
-            FanOut(*entry, {request.query}, request.query.deadline_ms);
-        if (outcome.is_error) {
-          ok = write_error(header.request_id, outcome.error_code,
-                           outcome.error_message);
-          break;
-        }
-        QueryResponse response;
-        response.graph_epoch = outcome.graph_epoch;
-        response.result = outcome.results.front();
-        ok = write_frame(Opcode::kQueryResult, header.request_id,
-                         EncodeQueryResponse(response));
-        break;
-      }
-      case Opcode::kBatch: {
-        metrics_.Add(m_batches_, 1);
-        BatchRequest request;
-        if (!DecodeBatchRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable BATCH payload");
-          break;
-        }
-        if (request.jobs.empty()) {
-          BatchResponse response;
-          response.graph_epoch = repl_epoch_.load();
-          ok = write_frame(Opcode::kBatchResult, header.request_id,
-                           EncodeBatchResponse(response));
-          break;
-        }
-        const FanOutOutcome outcome =
-            FanOut(*entry, request.jobs, request.deadline_ms);
-        if (outcome.is_error) {
-          ok = write_error(header.request_id, outcome.error_code,
-                           outcome.error_message);
-          break;
-        }
-        BatchResponse response;
-        response.graph_epoch = outcome.graph_epoch;
-        response.results = outcome.results;
-        ok = write_frame(Opcode::kBatchResult, header.request_id,
-                         EncodeBatchResponse(response));
-        break;
-      }
-      case Opcode::kUpdateWeights: {
-        metrics_.Add(m_updates_, 1);
-        UpdateWeightsRequest request;
-        if (!DecodeUpdateWeightsRequest(payload, request)) {
-          ok = write_error(header.request_id, ErrorCode::kMalformedPayload,
-                           "undecodable UPDATE_WEIGHTS payload");
-          break;
-        }
-        UpdateWeightsResponse response;
-        ErrorCode code = ErrorCode::kNone;
-        std::string message;
-        HandleUpdate(request, response, &code, &message);
-        ok = code != ErrorCode::kNone
-                 ? write_error(header.request_id, code, std::move(message))
-                 : write_frame(Opcode::kUpdateResult, header.request_id,
-                               EncodeUpdateWeightsResponse(response));
-        break;
-      }
-      case Opcode::kReplApply:
-        // Replication is router -> shard; a client replicating through
-        // the router would fork the epoch sequence.
-        ok = write_error(header.request_id, ErrorCode::kUnknownOpcode,
-                         "REPL_APPLY is not served by the router");
-        break;
-      default:
-        ok = write_error(header.request_id, ErrorCode::kUnknownOpcode,
-                         "opcode " + std::to_string(header.opcode) +
-                             " is not a request opcode");
-        break;
-    }
-    if (!ok) break;
+  // One in-memory copy: the WAL keeps its own records.
+  if (wal_ != nullptr) {
+    (void)wal_->Append(record);
+  } else {
+    history_.push_back(std::move(record));
   }
-  entry->done.store(true);
+  // Advance before answering, so the updater's next request is admitted
+  // at the new epoch.
+  repl_epoch_.store(response.new_epoch);
+  EnqueueFrame(item.conn, Opcode::kUpdateResult, item.request_id,
+               EncodeUpdateWeightsResponse(response));
 }
 
 std::string FannRouter::StatsJson() const {
-  const obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  std::string out = "{\n  \"router\": {\n    \"counters\": {";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += std::string(i ? ", " : "") + "\"" +
-           obs::internal_obs::JsonEscape(snapshot.counters[i].first) +
-           "\": " + std::to_string(snapshot.counters[i].second);
-  }
-  out += "}\n  },\n";
-  out += "  \"num_shards\": " + std::to_string(config_.shards.size()) + ",\n";
+  std::string out = "{\n  \"router\": " + MetricsJson() + ",\n";
+  out += "  \"num_shards\": " + std::to_string(shards_.size()) + ",\n";
   out += "  \"repl_epoch\": " + std::to_string(repl_epoch_.load()) + ",\n";
-  out += "  \"draining\": " + std::string(stop_.load() ? "true" : "false") +
+  out += "  \"draining\": " + std::string(draining() ? "true" : "false") +
          "\n}";
   return out;
 }

@@ -24,28 +24,33 @@
 // client as the engine's mid-batch epoch rejection rather than an
 // answer silently mixing weights from different epochs.
 //
-// Threading: one blocking accept loop plus one thread per client
-// connection, each owning its own per-shard query connections (the
-// pipelined client API overlaps the shards' work). Replication and
-// catch-up serialize on one mutex — updates are rare and total-ordered
-// by design.
+// Threading: the router runs on the same transport as FannServer
+// (net/serving_core.h): a fixed pool of epoll event loops plus one
+// executor, whatever the number of client connections, so clients get
+// pipelining, backpressure, connection limits and a graceful drain. The
+// executor runs the fan-out: a burst of same-epoch QUERY items (from
+// any number of connections) goes to the shards as ONE sub-batch per
+// shard, while BATCH and UPDATE_WEIGHTS go out one item at a time. It
+// is the only thread that touches router state after Start(): one
+// FannClient per shard carries fan-out, replication and catch-up alike,
+// with no lock. The admission epoch is repl_epoch(), so a query queued
+// behind a replicated update is rejected as stale, exactly as on a
+// single server, and time spent in the router's queue counts against
+// deadlines.
 
 #ifndef FANNR_NET_ROUTER_H_
 #define FANNR_NET_ROUTER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dynamic/wal.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "net/serving_core.h"
 #include "net/shard_plan.h"
-#include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace fannr::net {
@@ -110,40 +115,28 @@ struct MergedAnswer {
 /// all-ok merges by canonical order with gphi_evaluations summed.
 MergedAnswer MergeShardAnswers(const std::vector<ShardAnswer>& answers);
 
-class FannRouter {
+class FannRouter : public ServingCore {
  public:
   /// `plan.num_shards()` must equal `config.shards.size()`.
-  FannRouter(const ShardPlan& plan, RouterConfig config);
-  ~FannRouter();
-
-  FannRouter(const FannRouter&) = delete;
-  FannRouter& operator=(const FannRouter&) = delete;
+  FannRouter(const ShardPlan& plan, const RouterConfig& config);
+  ~FannRouter() override;
 
   /// Connects to every shard, catches stragglers up to the history's
   /// end epoch (replaying the WAL tail when a replica restarted), and
   /// starts accepting clients. False + reason on any failure — all
-  /// shards must be reachable at start.
+  /// shards must be reachable at start. Shards are never shut down by
+  /// the router — they belong to the operator.
   bool Start(std::string* error);
-
-  /// Begins shutdown: stops accepting, wakes every connection thread.
-  /// Shards are NOT shut down — they belong to the operator.
-  void RequestShutdown();
-
-  /// Joins the accept loop and every connection thread.
-  void Wait();
-
-  uint16_t port() const { return port_; }
 
   /// The fleet's replication position: the epoch every in-sync replica
   /// is at.
   uint64_t repl_epoch() const { return repl_epoch_.load(); }
 
-  /// Router observability snapshot (counters + replication position).
-  std::string StatsJson() const;
+  /// Router observability snapshot (counters, latency histograms,
+  /// replication position) as JSON. Safe to call from any thread.
+  std::string StatsJson() const override;
 
  private:
-  struct ConnEntry;
-
   /// One job's fan-out assignment: which shards receive which P-subset.
   struct JobSplit {
     /// Parallel vectors: sub_p[i] goes to shard target[i].
@@ -161,59 +154,54 @@ class FannRouter {
     std::vector<WireResult> results;  // per job, when !is_error
   };
 
-  void AcceptLoop();
-  void ServeConnection(ConnEntry* entry);
-  void ReapFinishedLocked();
+  // Executor thread, except AdmissionEpoch.
+  uint64_t AdmissionEpoch() const override { return repl_epoch_.load(); }
+  void Execute(const std::vector<WorkItem*>& items) override;
+
+  /// Charges each job's wait in the router queue against its deadline
+  /// (`waited_ms[j]`), fans the unexpired jobs out with the deadline
+  /// they have left, and answers expired ones kTimedOut in place.
+  FanOutOutcome Route(std::vector<WireQuery> jobs, double batch_deadline_ms,
+                      const std::vector<double>& waited_ms);
 
   JobSplit SplitJob(const WireQuery& job) const;
-  FanOutOutcome FanOutOnce(ConnEntry& conn,
-                           const std::vector<WireQuery>& jobs,
-                           double batch_deadline_ms);
+  FanOutOutcome FanOutOnce(const std::vector<WireQuery>& jobs);
   /// FanOutOnce plus the stale-replica protocol: on epoch disagreement,
   /// sync every shard and retry once; a persistent disagreement rejects
   /// every job with the engine's mid-batch epoch error.
-  FanOutOutcome FanOut(ConnEntry& conn, const std::vector<WireQuery>& jobs,
-                       double batch_deadline_ms);
+  FanOutOutcome FanOut(const std::vector<WireQuery>& jobs);
 
-  /// Replicates one update batch to every shard (REPL_APPLY at the
-  /// current fleet epoch), appends it to the durable history, and
-  /// advances the fleet epoch. Unreachable shards are skipped — they
+  /// Replicates one UPDATE_WEIGHTS batch to every shard (REPL_APPLY at
+  /// the current fleet epoch), appends it to the history, advances the
+  /// fleet epoch, and answers. Unreachable shards are skipped — they
   /// catch up from the history when they return.
-  void HandleUpdate(const UpdateWeightsRequest& request,
-                    UpdateWeightsResponse& response, ErrorCode* error_code,
-                    std::string* error_message);
+  void HandleUpdate(WorkItem& item);
 
   /// Brings every reachable shard to repl_epoch_. Used by the query
   /// path when shard answers disagree.
   void SyncShards();
 
-  // All Locked methods require repl_mu_.
-  bool EnsureReplClientLocked(size_t shard);
-  bool CatchUpShardLocked(size_t shard, std::string* error);
+  /// Connects shard `shard`'s client if it is not connected.
+  bool EnsureClient(size_t shard);
+  bool CatchUpShard(size_t shard, std::string* error);
+
+  /// Every replicated batch, in order: the WAL's records when a WAL is
+  /// configured, else the in-memory history_.
+  const std::vector<dynamic::WalRecord>& history() const {
+    return wal_ != nullptr ? wal_->records() : history_;
+  }
 
   const ShardPlan& plan_;
-  RouterConfig config_;
-  uint16_t port_ = 0;
+  const std::vector<ShardAddress> shards_;
+  dynamic::UpdateWal* const wal_;
 
-  Socket listener_;
-  int stop_event_ = -1;  ///< eventfd; written once to wake the acceptor.
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<ConnEntry>> conns_;
-
-  /// Replication state: one shared client per shard plus the ordered
-  /// history of every replicated batch, all under repl_mu_.
-  std::mutex repl_mu_;
-  std::vector<FannClient> repl_clients_;
+  /// One client per shard, for fan-out and replication alike.
+  /// Executor-thread-only after Start().
+  std::vector<FannClient> clients_;
+  /// Replication history when no WAL is configured.
   std::vector<dynamic::WalRecord> history_;
   std::atomic<uint64_t> repl_epoch_{0};
 
-  mutable obs::MetricsRegistry metrics_{1};
-  obs::CounterId m_queries_;
-  obs::CounterId m_batches_;
-  obs::CounterId m_updates_;
   obs::CounterId m_fanouts_;
   obs::CounterId m_retries_;
   obs::CounterId m_stale_rejections_;

@@ -1,153 +1,20 @@
 #include "net/server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <unordered_map>
 #include <utility>
 
-#include "common/timer.h"
+#include "common/check.h"
 #include "cont/subscription.h"
 #include "dynamic/update.h"
 #include "dynamic/wal.h"
-#include "obs/trace.h"
 
 namespace fannr::net {
 
-namespace {
-
-/// Effective deadline of one wire job: its own value when positive and
-/// finite, else the batch default, else the server default; 0 = none.
-double EffectiveDeadlineMs(double job_ms, double batch_ms,
-                          double server_default_ms) {
-  auto usable = [](double v) { return std::isfinite(v) && v > 0.0; };
-  if (usable(job_ms)) return job_ms;
-  if (usable(batch_ms)) return batch_ms;
-  if (usable(server_default_ms)) return server_default_ms;
-  return 0.0;
-}
-
-WireResult RejectedWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kRejected);
-  r.error = std::move(error);
-  return r;
-}
-
-WireResult TimedOutWire(std::string error) {
-  WireResult r;
-  r.status = static_cast<uint8_t>(QueryStatus::kTimedOut);
-  r.error = std::move(error);
-  return r;
-}
-
-std::string Num(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-std::string HistogramStatsJson(const obs::HistogramSnapshot& h) {
-  return "{\"count\": " + std::to_string(h.count) +
-         ", \"mean\": " + Num(h.Mean()) + ", \"p50\": " + Num(h.Percentile(50)) +
-         ", \"p95\": " + Num(h.Percentile(95)) +
-         ", \"p99\": " + Num(h.Percentile(99)) + ", \"max\": " + Num(h.max) +
-         "}";
-}
-
-/// epoll user-data tags for the two non-connection descriptors each
-/// loop watches. Real heap Connection pointers can never collide with
-/// these values.
-constexpr uint64_t kWakeTag = 1;
-constexpr uint64_t kListenerTag = 2;
-
-/// Cap on the post-io_stop_ flush of remaining transmit queues. Only a
-/// peer that stops reading mid-drain can make us wait this long.
-constexpr double kDrainFlushCapMs = 2'000.0;
-
-/// Backoff after an accept failure that does not clear the listener's
-/// readability (EMFILE/ENFILE/ENOBUFS/...): the listener is deregistered
-/// for this long, then re-armed. Bounds the accept loop to ~20 wakeups/s
-/// while the fd table stays exhausted instead of a 100% CPU spin.
-constexpr double kAcceptBackoffMs = 50.0;
-
-}  // namespace
-
-/// One accepted client connection, owned by exactly one event loop.
-/// Receive-side state (`in`, read_paused, registered, want_write) is
-/// touched only by that loop's thread; the transmit queue is shared
-/// with the executor under out_mu (appended anywhere, flushed only by
-/// the loop thread so socket writes never interleave).
-struct FannServer::Connection {
-  Socket sock;
-  size_t loop_index = 0;
-  std::atomic<bool> open{true};
-
-  // Loop-thread-only.
-  ByteQueue in;
-  bool read_paused = false;   ///< Backpressure: EPOLLIN disarmed.
-  bool registered = false;    ///< In the loop's epoll set and conns map.
-  bool want_write = false;    ///< EPOLLOUT armed (transmit queue nonempty).
-
-  // Shared with response writers.
-  std::mutex out_mu;
-  ByteQueue out;
-};
-
-/// One epoll event loop. `conns` is keyed by raw pointer so a stale
-/// data.ptr from an event batch that already closed the connection is
-/// detected by lookup instead of dereferenced. The mailbox
-/// (pending_add/dirty) is how other threads hand this loop work.
-struct FannServer::IoLoop {
-  int epoll_fd = -1;
-  int wake_fd = -1;  ///< Nonblocking eventfd; readable until drained.
-  std::thread thread;
-  std::atomic<std::thread::id> thread_id{};
-  bool accepting = false;  ///< Loop 0 watches the listener until drain.
-  /// Listener temporarily deregistered after EMFILE-class accept
-  /// failures; re-armed once accept_backoff passes kAcceptBackoffMs.
-  bool accept_paused = false;
-  Timer accept_backoff;
-  std::unordered_map<Connection*, std::shared_ptr<Connection>> conns;
-
-  std::mutex mail_mu;
-  std::vector<std::shared_ptr<Connection>> pending_add;
-  std::vector<std::shared_ptr<Connection>> dirty;
-
-  ~IoLoop() {
-    if (epoll_fd >= 0) ::close(epoll_fd);
-    if (wake_fd >= 0) ::close(wake_fd);
-  }
-};
-
-/// One admitted unit of work, queued FIFO for the executor.
-struct FannServer::WorkItem {
-  std::shared_ptr<Connection> conn;
-  Opcode opcode = Opcode::kPing;
-  uint64_t request_id = 0;
-  QueryRequest query;
-  BatchRequest batch;
-  UpdateWeightsRequest update;
-  ReplApplyRequest repl;
-  SubscribeRequest subscribe;
-  UnsubscribeRequest unsubscribe;
-  /// Graph epoch at admission; QUERY/BATCH items are rejected at
-  /// execution if the epoch has moved (an update was processed in
-  /// between), mirroring the engine's mid-batch contract.
-  GraphEpoch admission_epoch = 0;
-  Timer e2e_timer;  ///< Started at admission; measures queue wait + solve.
-};
-
 FannServer::FannServer(Graph* graph, const GphiResources& resources,
                        ServerConfig config)
-    : graph_(graph), resources_(resources), config_(std::move(config)) {
+    : ServingCore("server", std::move(config)),
+      graph_(graph),
+      resources_(resources) {
   FANNR_CHECK(graph_ != nullptr && resources_.graph == graph_);
   // STATS, the slow-query log, and drain reporting all read the engine's
   // observation state; the server runs with it on unconditionally.
@@ -158,673 +25,32 @@ FannServer::FannServer(Graph* graph, const GphiResources& resources,
       config_.max_subscriptions_per_connection,
       config_.max_subscriptions_total);
 
-  m_req_query_ = metrics_.RegisterCounter("server.requests.query");
-  m_req_batch_ = metrics_.RegisterCounter("server.requests.batch");
-  m_req_update_ = metrics_.RegisterCounter("server.requests.update_weights");
-  m_req_stats_ = metrics_.RegisterCounter("server.requests.stats");
-  m_req_ping_ = metrics_.RegisterCounter("server.requests.ping");
-  m_req_shutdown_ = metrics_.RegisterCounter("server.requests.shutdown");
-  m_req_repl_ = metrics_.RegisterCounter("server.requests.repl_apply");
-  m_errors_ = metrics_.RegisterCounter("server.responses.error");
-  m_overloaded_ = metrics_.RegisterCounter("server.overloaded");
-  m_bad_frames_ = metrics_.RegisterCounter("server.bad_frames");
-  m_connections_ = metrics_.RegisterCounter("server.connections");
-  m_accept_errors_ = metrics_.RegisterCounter("server.accept_errors");
-  m_stale_admission_ =
-      metrics_.RegisterCounter("server.rejected_stale_admission");
-  m_req_subscribe_ = metrics_.RegisterCounter("server.requests.subscribe");
-  m_req_unsubscribe_ =
-      metrics_.RegisterCounter("server.requests.unsubscribe");
   m_pushes_sent_ = metrics_.RegisterCounter("server.pushes.sent");
-  m_pushes_suppressed_ =
-      metrics_.RegisterCounter("server.pushes.suppressed");
+  m_pushes_suppressed_ = metrics_.RegisterCounter("server.pushes.suppressed");
   m_pushes_dropped_ =
       metrics_.RegisterCounter("server.pushes.dropped_backpressure");
-  m_queue_depth_ = metrics_.RegisterGauge("server.queue_depth");
   m_subs_active_ = metrics_.RegisterGauge("server.subscriptions.active");
-  m_e2e_query_ms_ = metrics_.RegisterHistogram(
-      "server.e2e_ms.query", obs::DefaultLatencyBucketsMs());
-  m_e2e_batch_ms_ = metrics_.RegisterHistogram(
-      "server.e2e_ms.batch", obs::DefaultLatencyBucketsMs());
-  m_e2e_update_ms_ = metrics_.RegisterHistogram(
-      "server.e2e_ms.update", obs::DefaultLatencyBucketsMs());
-  m_queue_wait_ms_ = metrics_.RegisterHistogram(
-      "server.queue_wait_ms", obs::DefaultLatencyBucketsMs());
   m_push_latency_ms_ = metrics_.RegisterHistogram(
       "server.push_latency_ms", obs::DefaultLatencyBucketsMs());
 }
 
-FannServer::~FannServer() {
-  if (started_.load(std::memory_order_relaxed)) {
-    RequestShutdown();
-    if (executor_thread_.joinable()) Wait();
-  }
-  if (drain_wake_fd_ >= 0) ::close(drain_wake_fd_);
-}
+FannServer::~FannServer() { Stop(); }
 
-bool FannServer::Start(std::string* error) {
-  FANNR_CHECK(!started_.load(std::memory_order_relaxed));
-  // Blocking mode: Wait() parks in read(2) on it until RequestShutdown.
-  drain_wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
-  if (drain_wake_fd_ < 0) {
-    if (error != nullptr) *error = "eventfd failed";
-    return false;
-  }
-  listener_ = TcpListen(config_.host, config_.port, &port_, error);
-  if (!listener_.valid()) return false;
-  if (!listener_.SetNonBlocking()) {
-    if (error != nullptr) *error = "could not set listener nonblocking";
-    return false;
-  }
-
-  const size_t num_loops = std::max<size_t>(config_.num_io_threads, 1);
-  io_loops_.clear();
-  for (size_t i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<IoLoop>();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
-      if (error != nullptr) *error = "epoll/eventfd setup failed";
-      io_loops_.clear();
-      return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeTag;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
-    if (i == 0) {
-      ev.data.u64 = kListenerTag;
-      ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, listener_.fd(), &ev);
-      loop->accepting = true;
-    }
-    io_loops_.push_back(std::move(loop));
-  }
-
-  started_.store(true, std::memory_order_relaxed);
-  io_stop_.store(false, std::memory_order_relaxed);
-  for (size_t i = 0; i < io_loops_.size(); ++i) {
-    io_loops_[i]->thread = std::thread(&FannServer::IoLoopMain, this, i);
-  }
-  executor_thread_ = std::thread(&FannServer::ExecutorMain, this);
-  return true;
-}
-
-void FannServer::RequestShutdown() {
-  draining_.store(true, std::memory_order_relaxed);
-  // Everything below is async-signal-safe (write(2) on eventfds over an
-  // immutable vector), so this whole method may run in a SIGTERM
-  // handler. An eventfd counter stays level-triggered readable until
-  // consumed: however many callers race here, the wake cannot be
-  // silently dropped the way a full pipe drops writes. (EAGAIN is only
-  // possible at counter overflow, which still leaves it readable.)
-  const uint64_t one = 1;
-  if (drain_wake_fd_ >= 0) {
-    [[maybe_unused]] ssize_t n = ::write(drain_wake_fd_, &one, sizeof(one));
-  }
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) {
-    [[maybe_unused]] ssize_t n = ::write(loop->wake_fd, &one, sizeof(one));
-  }
-}
-
-size_t FannServer::tracked_connection_threads() const {
-  return io_loops_.size();
-}
-
-void FannServer::WakeLoop(IoLoop& loop) {
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
-}
-
-void FannServer::IoLoopMain(size_t index) {
-  IoLoop& loop = *io_loops_[index];
-  loop.thread_id.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  std::vector<epoll_event> events(128);
-  while (!io_stop_.load(std::memory_order_acquire)) {
-    int timeout = -1;
-    if (loop.accepting && loop.accept_paused) {
-      const double remaining = kAcceptBackoffMs - loop.accept_backoff.Millis();
-      timeout = remaining <= 0.0 ? 0 : static_cast<int>(remaining) + 1;
-    }
-    const int n = ::epoll_wait(loop.epoll_fd, events.data(),
-                               static_cast<int>(events.size()), timeout);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = events[i];
-      if (ev.data.u64 == kWakeTag) {
-        uint64_t counter = 0;
-        [[maybe_unused]] ssize_t r =
-            ::read(loop.wake_fd, &counter, sizeof(counter));
-        continue;
-      }
-      if (ev.data.u64 == kListenerTag) {
-        if (!draining()) AcceptReady(loop);
-        continue;
-      }
-      // An earlier event in this same batch may have closed the
-      // connection; the map lookup catches the stale pointer.
-      auto it = loop.conns.find(static_cast<Connection*>(ev.data.ptr));
-      if (it == loop.conns.end()) continue;
-      std::shared_ptr<Connection> conn = it->second;
-      if ((ev.events & EPOLLERR) != 0) {
-        CloseConnection(loop, *conn);
-        continue;
-      }
-      if ((ev.events & EPOLLOUT) != 0) FlushConnection(loop, conn);
-      if (conn->registered && (ev.events & (EPOLLIN | EPOLLHUP)) != 0) {
-        ReadConnection(loop, conn);
-      }
-    }
-    if (loop.accepting && draining()) {
-      // Drain: stop accepting, but keep serving existing connections
-      // (their in-flight work still gets answered). A paused listener
-      // is already out of the epoll set.
-      if (!loop.accept_paused) {
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
-      }
-      loop.accept_paused = false;
-      loop.accepting = false;
-    }
-    if (loop.accepting && loop.accept_paused &&
-        loop.accept_backoff.Millis() >= kAcceptBackoffMs) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenerTag;
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, listener_.fd(), &ev);
-      loop.accept_paused = false;
-    }
-    ProcessMail(loop);
-  }
-  DrainLoopAndClose(loop);
-}
-
-void FannServer::AcceptReady(IoLoop& loop) {
-  while (true) {
-    const int fd = ::accept4(listener_.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return;  // accepted everything pending
-      }
-      if (errno == ECONNABORTED || errno == EPROTO) {
-        // That one pending connection died before we got to it; the
-        // rest of the backlog is still fine.
-        metrics_.Add(m_accept_errors_, 1);
-        continue;
-      }
-      // EMFILE/ENFILE/ENOBUFS/ENOMEM: the failure does not consume the
-      // pending connection, so the level-triggered listener stays
-      // readable and returning here would re-fire epoll_wait
-      // immediately — a 100% CPU spin for as long as the fd table is
-      // exhausted. Park the listener and re-arm it after a backoff.
-      metrics_.Add(m_accept_errors_, 1);
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, listener_.fd(), nullptr);
-      loop.accept_paused = true;
-      loop.accept_backoff.Reset();
-      return;
-    }
-    Socket sock(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    metrics_.Add(m_connections_, 1);
-
-    if (live_connections_.load(std::memory_order_relaxed) >=
-        config_.max_connections) {
-      metrics_.Add(m_overloaded_, 1);
-      ErrorResponse err;
-      err.code = ErrorCode::kOverloaded;
-      err.message = "connection limit reached — retry later";
-      const std::vector<uint8_t> frame =
-          EncodeFrame(static_cast<uint16_t>(Opcode::kError), 0,
-                      EncodeErrorResponse(err));
-      // Best effort on the fresh nonblocking socket: a tiny frame fits
-      // the empty send buffer; if it somehow doesn't, the close below
-      // still sheds the connection.
-      (void)sock.SendSome(frame.data(), frame.size());
-      continue;  // sock dies here
-    }
-
-    live_connections_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>();
-    conn->sock = std::move(sock);
-    conn->loop_index = next_loop_.fetch_add(1, std::memory_order_relaxed) %
-                       io_loops_.size();
-    IoLoop& dest = *io_loops_[conn->loop_index];
-    if (&dest == &loop) {
-      RegisterConnection(dest, conn);
-    } else {
-      {
-        std::lock_guard<std::mutex> lock(dest.mail_mu);
-        dest.pending_add.push_back(std::move(conn));
-      }
-      WakeLoop(dest);
-    }
-  }
-}
-
-void FannServer::RegisterConnection(IoLoop& loop,
-                                    const std::shared_ptr<Connection>& conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = conn.get();
-  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, conn->sock.fd(), &ev) != 0) {
-    conn->open.store(false, std::memory_order_relaxed);
-    live_connections_.fetch_sub(1, std::memory_order_relaxed);
-    return;  // conn dies with the caller's reference
-  }
-  conn->registered = true;
-  loop.conns.emplace(conn.get(), conn);
-}
-
-void FannServer::ReadConnection(IoLoop& loop,
-                                const std::shared_ptr<Connection>& conn) {
-  if (!conn->registered || conn->read_paused) return;
-  uint8_t buf[64 * 1024];
-  while (true) {
-    const ssize_t n = conn->sock.RecvSome(buf, sizeof(buf));
-    if (n > 0) {
-      conn->in.Append(buf, static_cast<size_t>(n));
-      if (!ParseAndDispatch(loop, conn)) return;  // closed or paused
-      if (static_cast<size_t>(n) < sizeof(buf)) return;  // likely drained
-      continue;
-    }
-    if (n == 0) {  // peer EOF
-      CloseConnection(loop, *conn);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    CloseConnection(loop, *conn);
-    return;
-  }
-}
-
-bool FannServer::ParseAndDispatch(IoLoop& loop,
-                                  const std::shared_ptr<Connection>& conn) {
-  while (conn->registered) {
-    // Write-side backpressure: a connection that has stopped reading
-    // its responses stops being read itself, before its next frame is
-    // even cut — the transmit backlog, not the kernel's buffers, is
-    // the bound.
-    size_t backlog = 0;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      backlog = conn->out.size();
-    }
-    if (backlog > config_.max_outbound_bytes) {
-      conn->read_paused = true;
-      UpdateInterest(loop, *conn);
-      return false;
-    }
-
-    FrameCut cut = CutFrame(conn->in);
-    if (cut.kind == FrameCut::Kind::kNeedMore) return true;
-    if (cut.kind == FrameCut::Kind::kPoisoned) {
-      // Bad magic / oversized payload / nonzero reserved: the stream
-      // has no trustworthy frame boundary left. Close, never crash.
-      metrics_.Add(m_bad_frames_, 1);
-      CloseConnection(loop, *conn);
-      return false;
-    }
-    DispatchFrame(conn, cut);
-  }
-  return false;
-}
-
-void FannServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
-                               FrameCut& cut) {
-  const FrameHeader& header = cut.header;
-  if (header.version != kProtocolVersion) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kUnsupportedVersion,
-                 cut.envelope_error);
-    return;
-  }
-  if (!IsRequestOpcode(header.opcode)) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kUnknownOpcode,
-                 "opcode " + std::to_string(header.opcode) +
-                     " is not a request opcode");
-    return;
-  }
-
-  const Opcode opcode = static_cast<Opcode>(header.opcode);
-  if (opcode == Opcode::kPing) {
-    metrics_.Add(m_req_ping_, 1);
-    EnqueueFrame(conn, Opcode::kPong, header.request_id, {});
-    return;
-  }
-  if (opcode == Opcode::kShutdown) {
-    metrics_.Add(m_req_shutdown_, 1);
-    EnqueueFrame(conn, Opcode::kShutdownAck, header.request_id, {});
-    RequestShutdown();
-    return;
-  }
-
-  // Work frame: decode, then admit (or shed).
-  WorkItem item;
-  item.conn = conn;
-  item.opcode = opcode;
-  item.request_id = header.request_id;
-  bool decoded = false;
-  switch (opcode) {
-    case Opcode::kQuery:
-      metrics_.Add(m_req_query_, 1);
-      decoded = DecodeQueryRequest(cut.payload, item.query);
-      break;
-    case Opcode::kBatch:
-      metrics_.Add(m_req_batch_, 1);
-      decoded = DecodeBatchRequest(cut.payload, item.batch);
-      break;
-    case Opcode::kUpdateWeights:
-      metrics_.Add(m_req_update_, 1);
-      decoded = DecodeUpdateWeightsRequest(cut.payload, item.update);
-      break;
-    case Opcode::kReplApply:
-      metrics_.Add(m_req_repl_, 1);
-      decoded = DecodeReplApplyRequest(cut.payload, item.repl);
-      break;
-    case Opcode::kStats:
-      metrics_.Add(m_req_stats_, 1);
-      decoded = cut.payload.empty();
-      break;
-    case Opcode::kSubscribe:
-      metrics_.Add(m_req_subscribe_, 1);
-      decoded = DecodeSubscribeRequest(cut.payload, item.subscribe);
-      break;
-    case Opcode::kUnsubscribe:
-      metrics_.Add(m_req_unsubscribe_, 1);
-      decoded = DecodeUnsubscribeRequest(cut.payload, item.unsubscribe);
-      break;
-    default:
-      break;
-  }
-  if (!decoded) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kMalformedPayload,
-                 std::string(OpcodeName(header.opcode)) +
-                     " payload failed to decode");
-    return;
-  }
-  if (draining()) {
-    metrics_.Add(m_errors_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kShuttingDown,
-                 "server is draining — no new work accepted");
-    return;
-  }
-
-  item.admission_epoch = graph_->epoch();
-  item.e2e_timer.Reset();
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_.size() < config_.max_queue_depth) {
-      queue_.push_back(std::move(item));
-      metrics_.Set(m_queue_depth_, static_cast<double>(queue_.size()));
-      admitted = true;
-    }
-  }
-  if (admitted) {
-    queue_cv_.notify_one();
-  } else {
-    // Bounded admission: shed the request explicitly instead of
-    // buffering without limit. The client retries with backoff.
-    metrics_.Add(m_overloaded_, 1);
-    EnqueueError(conn, header.request_id, ErrorCode::kOverloaded,
-                 "admission queue full (" +
-                     std::to_string(config_.max_queue_depth) +
-                     " pending) — retry later");
-  }
-}
-
-void FannServer::EnqueueFrame(const std::shared_ptr<Connection>& conn,
-                              Opcode opcode, uint64_t request_id,
-                              std::span<const uint8_t> payload) {
-  if (!conn->open.load(std::memory_order_relaxed)) return;
-  const std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(opcode), request_id, payload);
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    conn->out.Append(frame.data(), frame.size());
-  }
-  IoLoop& loop = *io_loops_[conn->loop_index];
-  {
-    std::lock_guard<std::mutex> lock(loop.mail_mu);
-    loop.dirty.push_back(conn);
-  }
-  // The loop flushes its dirty list before re-entering epoll_wait, so
-  // when already on the loop thread (inline PING/error replies) no wake
-  // is needed; anyone else must interrupt the wait.
-  if (std::this_thread::get_id() !=
-      loop.thread_id.load(std::memory_order_relaxed)) {
-    WakeLoop(loop);
-  }
-}
-
-void FannServer::EnqueueError(const std::shared_ptr<Connection>& conn,
-                              uint64_t request_id, ErrorCode code,
-                              std::string message) {
-  ErrorResponse response;
-  response.code = code;
-  response.message = std::move(message);
-  EnqueueFrame(conn, Opcode::kError, request_id,
-               EncodeErrorResponse(response));
-}
-
-void FannServer::FlushConnection(IoLoop& loop,
-                                 const std::shared_ptr<Connection>& conn) {
-  if (!conn->registered) return;
-  bool failed = false;
-  size_t remaining = 0;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    while (!conn->out.empty()) {
-      const ssize_t n = conn->sock.SendSome(conn->out.data(),
-                                            conn->out.size());
-      if (n > 0) {
-        conn->out.Consume(static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      failed = true;  // peer closed mid-response or hard error
-      break;
-    }
-    remaining = conn->out.size();
-  }
-  if (failed) {
-    CloseConnection(loop, *conn);
-    return;
-  }
-
-  bool interest_changed = false;
-  const bool want_write = remaining > 0;
-  if (want_write != conn->want_write) {
-    conn->want_write = want_write;
-    interest_changed = true;
-  }
-  const bool resume =
-      conn->read_paused && remaining <= config_.max_outbound_bytes / 2;
-  if (resume) {
-    conn->read_paused = false;
-    interest_changed = true;
-  }
-  if (interest_changed) UpdateInterest(loop, *conn);
-  if (resume) {
-    // Frames already buffered while paused parse now; anything still in
-    // the kernel re-fires the (level-triggered) EPOLLIN we just armed.
-    ParseAndDispatch(loop, conn);
-  }
-}
-
-void FannServer::UpdateInterest(IoLoop& loop, Connection& conn) {
-  if (!conn.registered) return;
-  epoll_event ev{};
-  ev.events = (conn.read_paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-              (conn.want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.ptr = &conn;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
-}
-
-void FannServer::CloseConnection(IoLoop& loop, Connection& conn) {
-  if (!conn.registered) return;  // idempotent
-  conn.registered = false;
-  conn.open.store(false, std::memory_order_relaxed);
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn.sock.fd(), nullptr);
-  // A peer may be parked in read(2) waiting for a reply that will never
-  // come (e.g. its frame was fatally malformed); shutdown(2) hands it a
-  // clean EOF before the descriptor goes away.
-  conn.sock.ShutdownBoth();
-  conn.sock.Close();
-  live_connections_.fetch_sub(1, std::memory_order_relaxed);
-  loop.conns.erase(&conn);  // may free conn — must be the last touch
-}
-
-void FannServer::ProcessMail(IoLoop& loop) {
-  std::vector<std::shared_ptr<Connection>> add;
-  std::vector<std::shared_ptr<Connection>> dirty;
-  {
-    std::lock_guard<std::mutex> lock(loop.mail_mu);
-    add.swap(loop.pending_add);
-    dirty.swap(loop.dirty);
-  }
-  for (const std::shared_ptr<Connection>& conn : add) {
-    RegisterConnection(loop, conn);
-  }
-  for (const std::shared_ptr<Connection>& conn : dirty) {
-    FlushConnection(loop, conn);
-  }
-}
-
-void FannServer::DrainLoopAndClose(IoLoop& loop) {
-  // The executor is already gone, so the transmit queues hold the final
-  // bytes of every drained/aborted response. Flush them (bounded — only
-  // a peer that stopped reading can hold us up), then close everything.
-  Timer cap;
-  while (cap.Millis() < kDrainFlushCapMs) {
-    ProcessMail(loop);
-    std::vector<std::shared_ptr<Connection>> conns;
-    conns.reserve(loop.conns.size());
-    for (const auto& [ptr, sp] : loop.conns) conns.push_back(sp);
-    bool pending = false;
-    for (const std::shared_ptr<Connection>& conn : conns) {
-      FlushConnection(loop, conn);
-      if (!conn->registered) continue;
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (!conn->out.empty()) pending = true;
-    }
-    if (!pending) break;
-    epoll_event ev;
-    ::epoll_wait(loop.epoll_fd, &ev, 1, 10);
-  }
-  std::vector<std::shared_ptr<Connection>> conns;
-  conns.reserve(loop.conns.size());
-  for (const auto& [ptr, sp] : loop.conns) conns.push_back(sp);
-  for (const std::shared_ptr<Connection>& conn : conns) {
-    CloseConnection(loop, *conn);
-  }
-}
-
-void FannServer::ExecutorMain() {
-  while (true) {
-    WorkItem first;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [&] { return !queue_.empty() || executor_stop_; });
-      if (queue_.empty()) break;  // executor_stop_ with a drained queue
-      first = std::move(queue_.front());
-      queue_.pop_front();
-      metrics_.Set(m_queue_depth_, static_cast<double>(queue_.size()));
-    }
-    if (config_.test_execution_gate) config_.test_execution_gate();
-
-    // Pipelining amortization: run consecutive QUERY items admitted
-    // under the same epoch (possibly from different connections)
-    // through one engine Run. Only the queue front is ever taken, so
-    // FIFO order — and therefore the epoch/update interleaving
-    // semantics — is untouched. Per-job answers are bitwise-independent
-    // of batch composition by the engine's determinism contract.
-    std::vector<WorkItem> burst;
-    burst.push_back(std::move(first));
-    if (burst[0].opcode == Opcode::kQuery) {
-      const size_t budget = std::max<size_t>(config_.merge_budget, 1);
-      while (burst.size() < budget) {
-        WorkItem extra;
-        {
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          if (queue_.empty() || queue_.front().opcode != Opcode::kQuery ||
-              queue_.front().admission_epoch != burst[0].admission_epoch) {
-            break;
-          }
-          extra = std::move(queue_.front());
-          queue_.pop_front();
-          metrics_.Set(m_queue_depth_, static_cast<double>(queue_.size()));
-        }
-        // The gate contract — one entry per dequeued item — holds for
-        // merged items too.
-        if (config_.test_execution_gate) config_.test_execution_gate();
-        burst.push_back(std::move(extra));
-      }
-    }
-
-    // Read the stop flag after the gate(s), not at dequeue: Wait() arms
-    // the drain timer before setting it, so when `stopping` is observed
-    // the deadline check below is measuring the actual drain —
-    // including for an item that was dequeued before the drain began.
-    bool stopping = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      stopping = executor_stop_;
-    }
-    std::vector<WorkItem*> live;
-    live.reserve(burst.size());
-    for (WorkItem& item : burst) {
-      if (stopping && drain_timer_.Millis() > config_.drain_deadline_ms) {
-        // Past the drain budget: answer, don't compute.
-        aborted_items_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.Add(m_errors_, 1);
-        EnqueueError(item.conn, item.request_id, ErrorCode::kShuttingDown,
-                     "drain deadline exceeded — request aborted");
-        continue;
-      }
-      live.push_back(&item);
-    }
-    if (!live.empty()) {
-      if (burst[0].opcode == Opcode::kQuery) {
-        ExecuteQueryBurst(live);
-      } else {
-        Execute(*live[0]);
-      }
-      if (stopping) {
-        drained_items_.fetch_add(live.size(), std::memory_order_relaxed);
-      }
-    }
-  }
-}
-
-void FannServer::Execute(WorkItem& item) {
-  metrics_.Record(m_queue_wait_ms_, item.e2e_timer.Millis());
+void FannServer::Execute(const std::vector<WorkItem*>& items) {
+  WorkItem& item = *items.front();
   switch (item.opcode) {
+    case Opcode::kQuery:
+      ExecuteQueryBurst(items);
+      break;
     case Opcode::kBatch:
       ExecuteBatch(item);
-      metrics_.Record(m_e2e_batch_ms_, item.e2e_timer.Millis());
       break;
     case Opcode::kUpdateWeights:
-      ExecuteUpdate(item);
-      metrics_.Record(m_e2e_update_ms_, item.e2e_timer.Millis());
-      break;
     case Opcode::kReplApply:
-      ExecuteReplApply(item);
-      metrics_.Record(m_e2e_update_ms_, item.e2e_timer.Millis());
-      break;
-    case Opcode::kStats:
-      ExecuteStats(item);
+      ExecuteUpdate(item);
       break;
     case Opcode::kSubscribe:
       ExecuteSubscribe(item);
-      metrics_.Record(m_e2e_query_ms_, item.e2e_timer.Millis());
       break;
     case Opcode::kUnsubscribe:
       ExecuteUnsubscribe(item);
@@ -834,9 +60,23 @@ void FannServer::Execute(WorkItem& item) {
   }
 }
 
-std::string FannServer::MaterializeSets(
-    const WireQuery& wire, std::unique_ptr<IndexedVertexSet>& p,
-    std::unique_ptr<IndexedVertexSet>& q) const {
+bool FannServer::ScreenJob(const WireQuery& wire, double batch_deadline_ms,
+                           const Timer& e2e_timer,
+                           std::vector<std::unique_ptr<IndexedVertexSet>>& sets,
+                           std::vector<FannrQuery>& runnable,
+                           WireResult* rejected) {
+  if (wire.algorithm > static_cast<uint8_t>(FannAlgorithm::kApxSum)) {
+    *rejected = RejectedWire("unknown algorithm enumerator " +
+                             std::to_string(wire.algorithm));
+    return false;
+  }
+  if (wire.aggregate > static_cast<uint8_t>(Aggregate::kSum)) {
+    *rejected = RejectedWire("unknown aggregate enumerator " +
+                             std::to_string(wire.aggregate));
+    return false;
+  }
+  // Vertex ids are untrusted: any violation becomes a kRejected
+  // result, never UB, mirroring in-process screening.
   const size_t num_vertices = graph_->NumVertices();
   auto screen = [&](const std::vector<uint32_t>& ids, const char* which)
       -> std::string {
@@ -856,55 +96,27 @@ std::string FannServer::MaterializeSets(
   };
   std::string error = screen(wire.p, "data point set P");
   if (error.empty()) error = screen(wire.q, "query point set Q");
-  if (!error.empty()) return error;
-  p = std::make_unique<IndexedVertexSet>(
-      num_vertices, std::vector<VertexId>(wire.p.begin(), wire.p.end()));
-  q = std::make_unique<IndexedVertexSet>(
-      num_vertices, std::vector<VertexId>(wire.q.begin(), wire.q.end()));
-  return std::string();
-}
-
-bool FannServer::ScreenJob(const WireQuery& wire, double batch_deadline_ms,
-                           const Timer& e2e_timer,
-                           std::vector<std::unique_ptr<IndexedVertexSet>>& sets,
-                           std::vector<FannrQuery>& runnable,
-                           WireResult* rejected) {
-  if (wire.algorithm > static_cast<uint8_t>(FannAlgorithm::kApxSum)) {
-    *rejected = RejectedWire("unknown algorithm enumerator " +
-                             std::to_string(wire.algorithm));
-    return false;
-  }
-  if (wire.aggregate > static_cast<uint8_t>(Aggregate::kSum)) {
-    *rejected = RejectedWire("unknown aggregate enumerator " +
-                             std::to_string(wire.aggregate));
-    return false;
-  }
-  std::unique_ptr<IndexedVertexSet> p;
-  std::unique_ptr<IndexedVertexSet> q;
-  std::string error = MaterializeSets(wire, p, q);
   if (!error.empty()) {
     *rejected = RejectedWire(std::move(error));
     return false;
   }
-  const double deadline_ms = EffectiveDeadlineMs(
-      wire.deadline_ms, batch_deadline_ms, config_.default_deadline_ms);
-  std::optional<double> engine_deadline;
-  if (deadline_ms > 0.0) {
-    // End-to-end: the time already spent queued counts against the
-    // deadline; the engine measures the rest from Run() entry.
-    const double remaining = deadline_ms - e2e_timer.Millis();
-    if (remaining <= 0.0) {
-      *rejected = TimedOutWire("deadline of " + std::to_string(deadline_ms) +
-                               " ms exceeded in the admission queue");
-      return false;
-    }
-    engine_deadline = remaining;
+  // End-to-end: the time already spent queued counts against the
+  // deadline; the engine measures the rest from Run() entry.
+  double remaining_ms = 0.0;
+  if (!ChargeQueueWait(wire.deadline_ms, batch_deadline_ms,
+                       config_.default_deadline_ms, e2e_timer.Millis(),
+                       &remaining_ms, rejected)) {
+    return false;
   }
 
+  sets.push_back(std::make_unique<IndexedVertexSet>(
+      num_vertices, std::vector<VertexId>(wire.p.begin(), wire.p.end())));
+  sets.push_back(std::make_unique<IndexedVertexSet>(
+      num_vertices, std::vector<VertexId>(wire.q.begin(), wire.q.end())));
   FannrQuery job;
   job.query.graph = graph_;
-  job.query.data_points = p.get();
-  job.query.query_points = q.get();
+  job.query.data_points = sets[sets.size() - 2].get();
+  job.query.query_points = sets.back().get();
   job.query.phi = wire.phi;
   job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
   // Weights point into the wire request, which outlives the engine Run
@@ -914,159 +126,69 @@ bool FannServer::ScreenJob(const WireQuery& wire, double batch_deadline_ms,
   // wire jobs reject with the same reasons in-process callers see.
   if (!wire.weights.empty()) job.query.weights = &wire.weights;
   job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-  job.deadline_ms = engine_deadline;
-  sets.push_back(std::move(p));
-  sets.push_back(std::move(q));
+  if (remaining_ms > 0.0) job.deadline_ms = remaining_ms;
   runnable.push_back(job);
   return true;
 }
 
-void FannServer::ExecuteQueryBurst(const std::vector<WorkItem*>& items) {
-  for (const WorkItem* item : items) {
-    metrics_.Record(m_queue_wait_ms_, item->e2e_timer.Millis());
-  }
-
-  const GraphEpoch now = graph_->epoch();
-  std::vector<WireResult> results(items.size());
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  std::vector<size_t> runnable_slot;
-  for (size_t i = 0; i < items.size(); ++i) {
-    WorkItem& item = *items[i];
-    if (now != item.admission_epoch) {
-      metrics_.Add(m_stale_admission_, 1);
-      results[i] = RejectedWire(MidBatchEpochError(item.admission_epoch, now));
-      continue;
-    }
-    WireResult rejected;
-    if (ScreenJob(item.query.query, /*batch_deadline_ms=*/0.0, item.e2e_timer,
-                  sets, runnable, &rejected)) {
-      runnable_slot.push_back(i);
-    } else {
-      results[i] = std::move(rejected);
-    }
-  }
-
-  if (!runnable.empty()) {
-    const std::vector<FannResult> solved = engine_->Run(runnable);
-    for (size_t j = 0; j < solved.size(); ++j) {
-      results[runnable_slot[j]] = ToWire(solved[j]);
-    }
-  }
-
-  for (size_t i = 0; i < items.size(); ++i) {
-    WorkItem& item = *items[i];
-    QueryResponse response;
-    response.graph_epoch = now;
-    response.result = std::move(results[i]);
-    EnqueueFrame(item.conn, Opcode::kQueryResult, item.request_id,
-                 EncodeQueryResponse(response));
-    metrics_.Record(m_e2e_query_ms_, item.e2e_timer.Millis());
-  }
-}
-
-void FannServer::ExecuteBatch(WorkItem& item) {
-  const GraphEpoch now = graph_->epoch();
-  if (now != item.admission_epoch) {
-    metrics_.Add(m_stale_admission_, 1);
-    BatchResponse response;
-    response.graph_epoch = now;
-    response.results.assign(
-        item.batch.jobs.size(),
-        RejectedWire(MidBatchEpochError(item.admission_epoch, now)));
-    EnqueueFrame(item.conn, Opcode::kBatchResult, item.request_id,
-                 EncodeBatchResponse(response));
-    return;
-  }
-  BatchResponse response = RunJobs(item);
-  EnqueueFrame(item.conn, Opcode::kBatchResult, item.request_id,
-               EncodeBatchResponse(response));
-}
-
-BatchResponse FannServer::RunJobs(WorkItem& item) {
-  const std::vector<WireQuery>& jobs = item.batch.jobs;
-  BatchResponse response;
-  response.graph_epoch = graph_->epoch();
-  response.results.resize(jobs.size());
-
-  // Net-level screening (id validity, enum ranges, expired deadlines)
-  // fills result slots directly; everything else goes to the engine in
-  // one Run so in-process semantics — validation reasons, epoch checks,
-  // fallbacks, tracing — apply verbatim.
+std::vector<WireResult> FannServer::Solve(
+    const std::vector<std::pair<const WireQuery*, const Timer*>>& jobs,
+    double batch_deadline_ms, std::string_view tag) {
+  std::vector<WireResult> results(jobs.size());
   std::vector<std::unique_ptr<IndexedVertexSet>> sets;
   std::vector<FannrQuery> runnable;
   std::vector<size_t> runnable_slot;
   for (size_t i = 0; i < jobs.size(); ++i) {
-    WireResult rejected;
-    if (ScreenJob(jobs[i], item.batch.deadline_ms, item.e2e_timer, sets,
-                  runnable, &rejected)) {
+    if (ScreenJob(*jobs[i].first, batch_deadline_ms, *jobs[i].second, sets,
+                  runnable, &results[i])) {
       runnable_slot.push_back(i);
-    } else {
-      response.results[i] = std::move(rejected);
     }
   }
-
   if (!runnable.empty()) {
-    const std::vector<FannResult> results = engine_->Run(runnable);
-    for (size_t j = 0; j < results.size(); ++j) {
-      response.results[runnable_slot[j]] = ToWire(results[j]);
+    const std::vector<FannResult> solved = engine_->Run(runnable, tag);
+    for (size_t j = 0; j < solved.size(); ++j) {
+      results[runnable_slot[j]] = ToWire(solved[j]);
     }
   }
-  return response;
+  return results;
+}
+
+void FannServer::ExecuteQueryBurst(const std::vector<WorkItem*>& items) {
+  std::vector<std::pair<const WireQuery*, const Timer*>> jobs;
+  jobs.reserve(items.size());
+  for (const WorkItem* item : items) {
+    jobs.emplace_back(&item->query.query, &item->e2e_timer);
+  }
+  std::vector<WireResult> results = Solve(jobs, /*batch_deadline_ms=*/0.0);
+  for (size_t i = 0; i < items.size(); ++i) {
+    QueryResponse response;
+    response.graph_epoch = graph_->epoch();
+    response.result = std::move(results[i]);
+    EnqueueFrame(items[i]->conn, Opcode::kQueryResult, items[i]->request_id,
+                 EncodeQueryResponse(response));
+  }
+}
+
+void FannServer::ExecuteBatch(WorkItem& item) {
+  std::vector<std::pair<const WireQuery*, const Timer*>> jobs;
+  jobs.reserve(item.batch.jobs.size());
+  for (const WireQuery& job : item.batch.jobs) {
+    jobs.emplace_back(&job, &item.e2e_timer);
+  }
+  BatchResponse response;
+  response.graph_epoch = graph_->epoch();
+  response.results = Solve(jobs, item.batch.deadline_ms);
+  EnqueueFrame(item.conn, Opcode::kBatchResult, item.request_id,
+               EncodeBatchResponse(response));
 }
 
 void FannServer::ExecuteUpdate(WorkItem& item) {
-  UpdateWeightsResponse response;
-  dynamic::UpdateBatch batch;
-  for (const UpdateWeightsRequest::Entry& e : item.update.entries) {
-    batch.SetWeight(e.u, e.v, e.weight);
-  }
-  // Screen before Apply — Apply aborts on invalid entries by contract,
-  // and frames are untrusted input.
-  const std::string error = batch.ValidationError(*graph_);
-  if (!error.empty()) {
-    response.status = 1;
-    response.error = error;
-  } else {
-    // Safe to mutate: the executor is the only thread running queries,
-    // so no reader can race this apply (Graph's contract).
-    const dynamic::ApplyResult applied = batch.Apply(*graph_);
-    response.status = 0;
-    response.applied = applied.applied;
-    response.missing = applied.missing;
-    response.old_epoch = applied.old_epoch;
-    response.new_epoch = applied.new_epoch;
-    LogToWal(item.update.entries, applied);
-  }
-  EnqueueFrame(item.conn, Opcode::kUpdateResult, item.request_id,
-               EncodeUpdateWeightsResponse(response));
-  // Standing queries re-solve against the new epoch after the updater's
-  // ACK is already on its way out.
-  if (response.status == 0 && response.new_epoch != response.old_epoch) {
-    ReevaluateSubscriptions();
-  }
-}
-
-void FannServer::LogToWal(
-    const std::vector<UpdateWeightsRequest::Entry>& entries,
-    const dynamic::ApplyResult& applied) {
-  if (config_.wal == nullptr) return;
-  dynamic::WalRecord record;
-  record.position = applied.old_epoch;
-  record.new_epoch = applied.new_epoch;
-  record.entries.reserve(entries.size());
-  for (const UpdateWeightsRequest::Entry& e : entries) {
-    record.entries.push_back({e.u, e.v, e.weight});
-  }
-  // Durability failure is not an answer-path failure: the batch IS
-  // applied; a lost record only costs replay depth after a crash.
-  (void)config_.wal->Append(record);
-}
-
-void FannServer::ExecuteReplApply(WorkItem& item) {
+  const bool repl = item.opcode == Opcode::kReplApply;
+  const std::vector<UpdateWeightsRequest::Entry>& entries =
+      repl ? item.repl.entries : item.update.entries;
   UpdateWeightsResponse response;
   const GraphEpoch now = graph_->epoch();
-  if (now != item.repl.position) {
+  if (repl && now != item.repl.position) {
     // Out-of-position batch: applying it would fork this replica's
     // weight history from the others'. Refuse and report where we are;
     // the sender decides whether to rewind or catch us up.
@@ -1075,33 +197,51 @@ void FannServer::ExecuteReplApply(WorkItem& item) {
     response.error = "replication position " +
                      std::to_string(item.repl.position) +
                      " does not match graph epoch " + std::to_string(now);
-  } else if (item.repl.entries.empty()) {
+  } else if (repl && entries.empty()) {
     // Pure position probe: confirm without touching the graph.
     response.status = 0;
     response.old_epoch = now;
     response.new_epoch = now;
   } else {
     dynamic::UpdateBatch batch;
-    for (const UpdateWeightsRequest::Entry& e : item.repl.entries) {
+    for (const UpdateWeightsRequest::Entry& e : entries) {
       batch.SetWeight(e.u, e.v, e.weight);
     }
+    // Screen before Apply — Apply aborts on invalid entries by
+    // contract, and frames are untrusted input.
     const std::string error = batch.ValidationError(*graph_);
     if (!error.empty()) {
       response.status = 1;
       response.error = error;
     } else {
+      // Safe to mutate: the executor is the only thread running
+      // queries, so no reader can race this apply (Graph's contract).
       const dynamic::ApplyResult applied = batch.Apply(*graph_);
       response.status = 0;
       response.applied = applied.applied;
       response.missing = applied.missing;
       response.old_epoch = applied.old_epoch;
       response.new_epoch = applied.new_epoch;
-      LogToWal(item.repl.entries, applied);
+      if (config_.wal != nullptr) {
+        dynamic::WalRecord record;
+        record.position = applied.old_epoch;
+        record.new_epoch = applied.new_epoch;
+        for (const UpdateWeightsRequest::Entry& e : entries) {
+          record.entries.push_back({e.u, e.v, e.weight});
+        }
+        // Durability failure is not an answer-path failure: the batch
+        // IS applied; a lost record only costs replay depth after a
+        // crash.
+        (void)config_.wal->Append(record);
+      }
     }
   }
-  EnqueueFrame(item.conn, Opcode::kReplApplyResult, item.request_id,
-               EncodeUpdateWeightsResponse(response));
-  // Replicated updates drive subscriptions exactly like direct ones.
+  EnqueueFrame(item.conn,
+               repl ? Opcode::kReplApplyResult : Opcode::kUpdateResult,
+               item.request_id, EncodeUpdateWeightsResponse(response));
+  // Standing queries re-solve against the new epoch after the updater's
+  // ACK is already on its way out; replicated updates drive them
+  // exactly like direct ones.
   if (response.status == 0 && response.new_epoch != response.old_epoch) {
     ReevaluateSubscriptions();
   }
@@ -1110,23 +250,17 @@ void FannServer::ExecuteReplApply(WorkItem& item) {
 void FannServer::ExecuteSubscribe(WorkItem& item) {
   // Judge limits against live connections only: a subscriber that
   // reconnects should not be blocked by its dead predecessor's slots.
-  subs_->Reap([](const std::shared_ptr<void>& owner) {
-    return static_cast<Connection*>(owner.get())
-        ->open.load(std::memory_order_relaxed);
-  });
+  ReapSubscriptions();
   if ((config_.max_subscriptions_total != 0 &&
        subs_->size() >= config_.max_subscriptions_total) ||
       (config_.max_subscriptions_per_connection != 0 &&
        subs_->OwnerCount(item.conn.get()) >=
            config_.max_subscriptions_per_connection)) {
-    metrics_.Add(m_overloaded_, 1);
-    metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
     EnqueueError(item.conn, item.request_id, ErrorCode::kOverloaded,
                  "subscription limit reached — unsubscribe or retry later");
     return;
   }
   if (subs_->Find(item.conn.get(), item.request_id) != nullptr) {
-    metrics_.Add(m_errors_, 1);
     EnqueueError(item.conn, item.request_id, ErrorCode::kMalformedPayload,
                  "subscription id " + std::to_string(item.request_id) +
                      " is already live on this connection");
@@ -1137,17 +271,9 @@ void FannServer::ExecuteSubscribe(WorkItem& item) {
   // no stale-admission contract — its whole point is to track epochs).
   SubscribeResponse response;
   response.graph_epoch = graph_->epoch();
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  WireResult rejected;
-  if (!ScreenJob(item.subscribe.query, /*batch_deadline_ms=*/0.0,
-                 item.e2e_timer, sets, runnable, &rejected)) {
-    response.result = std::move(rejected);
-  } else {
-    const std::vector<FannResult> solved =
-        engine_->Run(runnable, "subscription-initial");
-    response.result = ToWire(solved[0]);
-  }
+  response.result = std::move(Solve({{&item.subscribe.query, &item.e2e_timer}},
+                                    /*batch_deadline_ms=*/0.0,
+                                    "subscription-initial")[0]);
 
   // Registration succeeds iff the initial answer is kOk, so the client
   // reads the outcome off the SUBSCRIBE_RESULT status alone: a rejected
@@ -1185,14 +311,17 @@ void FannServer::ExecuteUnsubscribe(WorkItem& item) {
                EncodeUnsubscribeResponse(response));
 }
 
+void FannServer::ReapSubscriptions() {
+  subs_->Reap([](const std::shared_ptr<void>& owner) {
+    return IsOpen(*static_cast<const Connection*>(owner.get()));
+  });
+  metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
+}
+
 void FannServer::ReevaluateSubscriptions() {
   // Connections close on their loops at any time; their subscriptions
   // die here, before the batch is assembled.
-  subs_->Reap([](const std::shared_ptr<void>& owner) {
-    return static_cast<Connection*>(owner.get())
-        ->open.load(std::memory_order_relaxed);
-  });
-  metrics_.Set(m_subs_active_, static_cast<double>(subs_->size()));
+  ReapSubscriptions();
   if (subs_->empty()) return;
 
   Timer push_timer;  // epoch bump (just happened) -> push enqueue
@@ -1204,27 +333,14 @@ void FannServer::ReevaluateSubscriptions() {
   // as they do across pipelined one-shot queries. Composition cannot
   // change any answer (the engine's determinism contract), so a pushed
   // answer is bitwise what a lone solve at this epoch would produce.
-  std::vector<WireResult> results(all.size());
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> runnable;
-  std::vector<size_t> runnable_slot;
   const Timer reeval_timer;  // deadlines (if configured) start here
-  for (size_t i = 0; i < all.size(); ++i) {
-    WireResult rejected;
-    if (ScreenJob(all[i].query, /*batch_deadline_ms=*/0.0, reeval_timer,
-                  sets, runnable, &rejected)) {
-      runnable_slot.push_back(i);
-    } else {
-      results[i] = std::move(rejected);
-    }
+  std::vector<std::pair<const WireQuery*, const Timer*>> jobs;
+  jobs.reserve(all.size());
+  for (const cont::Subscription& sub : all) {
+    jobs.emplace_back(&sub.query, &reeval_timer);
   }
-  if (!runnable.empty()) {
-    const std::vector<FannResult> solved =
-        engine_->Run(runnable, "subscription-reeval");
-    for (size_t j = 0; j < solved.size(); ++j) {
-      results[runnable_slot[j]] = ToWire(solved[j]);
-    }
-  }
+  std::vector<WireResult> results =
+      Solve(jobs, /*batch_deadline_ms=*/0.0, "subscription-reeval");
 
   for (size_t i = 0; i < all.size(); ++i) {
     cont::Subscription& sub = all[i];
@@ -1242,7 +358,8 @@ void FannServer::ReevaluateSubscriptions() {
     push.graph_epoch = now;
     push.result = result;
     const auto conn = std::static_pointer_cast<Connection>(sub.owner);
-    if (!TryEnqueuePush(conn, sub.id, EncodePushAnswer(push))) {
+    if (!TryEnqueueFrame(conn, Opcode::kPushAnswer, sub.id,
+                         EncodePushAnswer(push))) {
       // Conflated, not lost: delivery state stays put, so the next
       // re-evaluation sees the answer as still-undelivered and retries
       // once the backlog drains.
@@ -1259,49 +376,9 @@ void FannServer::ReevaluateSubscriptions() {
   }
 }
 
-bool FannServer::TryEnqueuePush(const std::shared_ptr<Connection>& conn,
-                                uint64_t subscription_id,
-                                std::span<const uint8_t> payload) {
-  if (!conn->open.load(std::memory_order_relaxed)) return false;
-  {
-    // Same bound the read path enforces: a subscriber that stopped
-    // reading gets its pushes conflated instead of an unbounded queue.
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    if (conn->out.size() > config_.max_outbound_bytes) return false;
-  }
-  EnqueueFrame(conn, Opcode::kPushAnswer, subscription_id, payload);
-  return true;
-}
-
-void FannServer::ExecuteStats(WorkItem& item) {
-  StatsResponse response;
-  response.json = StatsJson();
-  EnqueueFrame(item.conn, Opcode::kStatsResult, item.request_id,
-               EncodeStatsResponse(response));
-}
-
 std::string FannServer::StatsJson() const {
-  const obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   const SourceDistanceCache::Stats cache = engine_->cache_stats();
-  std::string out = "{\n  \"server\": {\n    \"counters\": {";
-  for (size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += std::string(i ? ", " : "") + "\"" +
-           obs::internal_obs::JsonEscape(snapshot.counters[i].first) +
-           "\": " + std::to_string(snapshot.counters[i].second);
-  }
-  out += "},\n    \"gauges\": {";
-  for (size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out += std::string(i ? ", " : "") + "\"" +
-           obs::internal_obs::JsonEscape(snapshot.gauges[i].first) +
-           "\": " + Num(snapshot.gauges[i].second);
-  }
-  out += "},\n    \"histograms\": {";
-  for (size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    out += std::string(i ? ", " : "") + "\"" +
-           obs::internal_obs::JsonEscape(snapshot.histograms[i].first) +
-           "\": " + HistogramStatsJson(snapshot.histograms[i].second);
-  }
-  out += "}\n  },\n";
+  std::string out = "{\n  \"server\": " + MetricsJson() + ",\n";
   out += "  \"graph_epoch\": " + std::to_string(graph_->epoch()) + ",\n";
   out += "  \"draining\": " + std::string(draining() ? "true" : "false") +
          ",\n";
@@ -1311,48 +388,6 @@ std::string FannServer::StatsJson() const {
          ", \"epoch_evictions\": " + std::to_string(cache.epoch_evictions) +
          "}\n}";
   return out;
-}
-
-DrainStats FannServer::Wait() {
-  FANNR_CHECK(started_.load(std::memory_order_relaxed));
-  // Park until a shutdown is requested. The eventfd is in blocking
-  // mode and its counter survives until read, so a RequestShutdown
-  // from before this call (or from a signal handler mid-read) is never
-  // missed.
-  uint64_t counter = 0;
-  while (::read(drain_wake_fd_, &counter, sizeof(counter)) < 0 &&
-         errno == EINTR) {
-  }
-  drain_timer_.Reset();
-
-  // Drain order: finish (or abort) queued work first — every response
-  // lands in a transmit queue — then tell the loops to flush those
-  // queues and close. The loops keep serving reads during the drain;
-  // new work frames are refused with SHUTTING_DOWN (DispatchFrame), so
-  // the admission queue only shrinks.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    executor_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  executor_thread_.join();
-  const double drain_ms = drain_timer_.Millis();
-
-  io_stop_.store(true, std::memory_order_release);
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) WakeLoop(*loop);
-  for (const std::unique_ptr<IoLoop>& loop : io_loops_) {
-    loop->thread.join();
-  }
-  listener_.Close();
-  started_.store(false, std::memory_order_relaxed);
-
-  DrainStats stats;
-  stats.drain_ms = drain_ms;
-  stats.drained_items = drained_items_.load(std::memory_order_relaxed);
-  stats.aborted_items = aborted_items_.load(std::memory_order_relaxed);
-  stats.within_deadline = drain_ms <= config_.drain_deadline_ms;
-  stats.final_stats_json = StatsJson();
-  return stats;
 }
 
 }  // namespace fannr::net

@@ -2,275 +2,87 @@
 //
 // A production deployment answers streams of queries arriving over time
 // from many clients, interleaved with live weight updates — the setting
-// the epoch machinery of src/dynamic/ exists for. The server speaks the
-// length-prefixed binary protocol of net/protocol.h and is structured as
-// two thread roles:
-//
-//   * a small fixed pool of epoll event-loop threads (num_io_threads,
-//     default 1) owning every socket in nonblocking mode. Each
-//     connection accumulates bytes in a receive queue and has frames
-//     cut off it incrementally (net/iobuf.h), so a client may
-//     **pipeline**: many request frames in flight on one connection,
-//     responses tagged by request_id and allowed to complete out of
-//     order (a PING answered inline can overtake a queued QUERY's
-//     response; work responses themselves stay FIFO per connection
-//     because one executor drains the queue in order). Responses are
-//     appended to a per-connection transmit queue and flushed as the
-//     kernel accepts them (EPOLLOUT only while bytes remain). A
-//     connection whose transmit backlog exceeds max_outbound_bytes
-//     stops being read — write-side backpressure — until the backlog
-//     drains below half the bound, so a client that never reads
-//     responses cannot buffer the server to death. Loop 0 also owns
-//     the listener and sheds connections over max_connections with
-//     OVERLOADED;
-//   * one executor thread, which drains the admission queue FIFO and
-//     is the only thread that touches the BatchQueryEngine or applies
-//     weight updates. This serialization is load-bearing: the Graph
-//     contract forbids ApplyWeightUpdates racing readers, and Run()
-//     must not be called concurrently. Queries never see torn weights
-//     by construction, and every response reports the epoch it was
-//     computed under. Runs of consecutive QUERY items admitted under
-//     the same epoch (up to merge_budget, across connections) are
-//     executed through ONE engine Run so pipelined small queries
-//     amortize dispatch — per-job results are bitwise-independent of
-//     batch composition (the engine's determinism contract), so
-//     merging never changes an answer.
-//
-// Admission into the bounded queue happens on the event-loop thread as
-// frames decode; a full queue is answered with OVERLOADED (the server
-// sheds load explicitly instead of buffering without limit).
-//
-// Admission epochs: a QUERY/BATCH item records the graph epoch at
-// enqueue. If an UPDATE_WEIGHTS lands in between (FIFO order), the item
-// is rejected with the engine's canonical mid-batch reason instead of
-// being silently answered under weights the client never observed at
-// admission — the same re-submit contract in-process callers get.
-//
-// Deadlines are end-to-end: a request's deadline_ms counts from
-// admission, queue wait is subtracted before the engine runs, and
-// expiry anywhere along the path yields QueryStatus::kTimedOut.
-//
-// Graceful drain (SIGTERM via RequestShutdown, or a SHUTDOWN frame):
-// stop accepting connections, refuse new work frames (SHUTTING_DOWN),
-// finish queued work until the drain deadline (aborting the remainder),
-// flush responses, close connections, and expose the final
-// observability snapshot in the DrainStats.
+// the epoch machinery of src/dynamic/ exists for. The server runs on
+// the transport of net/serving_core.h (event loops, bounded admission,
+// pipelining, backpressure, drain) and supplies the engine work. Its
+// executor is the only thread that touches the BatchQueryEngine or
+// applies weight updates: the Graph contract forbids
+// ApplyWeightUpdates racing readers, and Run() must not be called
+// concurrently. A QUERY burst runs through ONE engine Run — per-job
+// results are bitwise-independent of batch composition, so merging
+// never changes an answer. The admission epoch is the graph epoch, and
+// deadlines count from admission (queue wait is subtracted before the
+// engine runs).
 
 #ifndef FANNR_NET_SERVER_H_
 #define FANNR_NET_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "engine/batch_engine.h"
-#include "net/iobuf.h"
 #include "net/protocol.h"
-#include "net/socket.h"
-#include "obs/metrics.h"
+#include "net/serving_core.h"
 
 namespace fannr::cont {
 class SubscriptionTable;
 }  // namespace fannr::cont
 
-namespace fannr::dynamic {
-class UpdateWal;
-struct ApplyResult;
-}  // namespace fannr::dynamic
-
 namespace fannr::net {
-
-struct ServerConfig {
-  std::string host = "127.0.0.1";
-  /// 0 = kernel assigns an ephemeral port (read it back via port()).
-  uint16_t port = 0;
-
-  /// Event-loop threads. One loop comfortably serves hundreds of
-  /// connections (the engine, not I/O, is the bottleneck); raise only
-  /// when profiles show the loop saturated.
-  size_t num_io_threads = 1;
-
-  /// Connections beyond this are answered with OVERLOADED and closed.
-  size_t max_connections = 64;
-
-  /// Bounded admission queue: work frames arriving while `queue_depth`
-  /// items are pending are answered with OVERLOADED instead of buffered.
-  size_t max_queue_depth = 128;
-
-  /// Write-side backpressure: a connection whose un-flushed transmit
-  /// backlog exceeds this stops being read until it drains below half.
-  size_t max_outbound_bytes = 4u << 20;
-
-  /// Max consecutive same-epoch QUERY items merged into one engine Run
-  /// (pipelining dispatch amortization). 1 disables merging.
-  size_t merge_budget = 64;
-
-  /// Standing-subscription bounds (see src/cont/subscription.h): a
-  /// SUBSCRIBE past either limit is answered OVERLOADED instead of
-  /// registered, so subscribers cannot grow executor-side state without
-  /// limit. 0 = that limit disabled.
-  size_t max_subscriptions_per_connection = 8;
-  size_t max_subscriptions_total = 1024;
-
-  /// Default end-to-end deadline for work items without their own
-  /// (<= 0 = none). Counted from admission into the queue.
-  double default_deadline_ms = 0.0;
-
-  /// Wall-clock budget for finishing queued work during drain; items
-  /// still queued past it are answered with SHUTTING_DOWN.
-  double drain_deadline_ms = 10'000.0;
-
-  /// Engine configuration (worker threads, g_phi oracle, cache sizing,
-  /// metrics). The server forces enable_metrics on so STATS and the
-  /// slow-query log always work.
-  BatchOptions engine_options;
-
-  /// Optional durability: when set, every applied update batch
-  /// (UPDATE_WEIGHTS and REPL_APPLY alike) is appended — with its epoch
-  /// position — before the response is sent, so a restarted server
-  /// replays its way back to the epoch it crashed at. Not owned; must
-  /// outlive the server. Only the executor thread touches it.
-  dynamic::UpdateWal* wal = nullptr;
-
-  /// Test-only: invoked by the executor thread before processing each
-  /// dequeued item (including each item merged into a query burst).
-  /// Lets tests hold the executor to fill the admission queue
-  /// deterministically. Leave empty in production.
-  std::function<void()> test_execution_gate;
-};
-
-/// Final accounting of a graceful drain, returned by Wait().
-struct DrainStats {
-  double drain_ms = 0.0;      ///< RequestShutdown to fully drained.
-  size_t drained_items = 0;   ///< Queued items executed during drain.
-  size_t aborted_items = 0;   ///< Queued items past the drain deadline.
-  bool within_deadline = false;
-  std::string final_stats_json;  ///< Last observability snapshot.
-};
 
 /// The server. Construct, Start(), then Wait() (blocks until a shutdown
 /// is requested and the drain completes). `graph` is mutated by
 /// UPDATE_WEIGHTS frames and must outlive the server, as must every
 /// index inside `resources` (resources.graph must equal `graph`).
-class FannServer {
+class FannServer : public ServingCore {
  public:
   FannServer(Graph* graph, const GphiResources& resources,
              ServerConfig config);
-  ~FannServer();
+  ~FannServer() override;
 
-  FannServer(const FannServer&) = delete;
-  FannServer& operator=(const FannServer&) = delete;
-
-  /// Binds, listens, and spawns the event-loop + executor threads.
-  /// False (with a reason) on socket errors; the server is then inert.
-  bool Start(std::string* error);
-
-  /// The bound port (valid after a successful Start).
-  uint16_t port() const { return port_; }
-
-  /// Initiates graceful drain. Async-signal-safe (eventfd writes plus a
-  /// relaxed atomic store) — call it straight from a SIGTERM handler.
-  /// Idempotent.
-  void RequestShutdown();
-
-  /// Blocks until a shutdown is requested and the drain completes,
-  /// joins every thread, and returns the drain accounting. Call at most
-  /// once, after Start().
-  DrainStats Wait();
-
-  /// True once a shutdown has been requested.
-  bool draining() const {
-    return draining_.load(std::memory_order_relaxed);
-  }
-
-  /// Current observability snapshot (server registry + engine) as JSON.
-  /// Safe to call from any thread; counters may be mid-update while
-  /// traffic flows (exact once quiesced).
-  std::string StatsJson() const;
-
-  /// Threads serving connections — the fixed event-loop pool, sized at
-  /// Start() and independent of connection count or churn
-  /// (tests/net_server_test.cc asserts the bound under churn).
-  size_t tracked_connection_threads() const;
+  /// Observability snapshot (server registry + engine) as JSON. Safe to
+  /// call from any thread; counters may be mid-update while traffic
+  /// flows (exact once quiesced).
+  std::string StatsJson() const override;
 
   /// The underlying engine (test/bench access; do not call Run on it
   /// while the server is serving).
   BatchQueryEngine& engine() { return *engine_; }
 
-  /// Server-side registry: per-opcode request counters, queue depth
-  /// gauge, end-to-end latency histograms.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-
  private:
-  struct Connection;
-  struct IoLoop;
-  struct WorkItem;
+  // Executor thread, except AdmissionEpoch.
+  uint64_t AdmissionEpoch() const override { return graph_->epoch(); }
+  void Execute(const std::vector<WorkItem*>& items) override;
 
-  // --- Event-loop side (each method runs on the loop's own thread
-  // unless noted) ---
-  void IoLoopMain(size_t index);
-  void AcceptReady(IoLoop& loop);
-  void RegisterConnection(IoLoop& loop,
-                          const std::shared_ptr<Connection>& conn);
-  void ReadConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  /// Cuts and dispatches every complete frame buffered on `conn`.
-  /// Returns false when reading must stop (connection closed or
-  /// backpressure paused it).
-  bool ParseAndDispatch(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  void DispatchFrame(const std::shared_ptr<Connection>& conn, FrameCut& cut);
-  /// Appends an encoded frame to the connection's transmit queue and
-  /// notifies its loop. Callable from any thread (the executor responds
-  /// through this).
-  void EnqueueFrame(const std::shared_ptr<Connection>& conn, Opcode opcode,
-                    uint64_t request_id, std::span<const uint8_t> payload);
-  void EnqueueError(const std::shared_ptr<Connection>& conn,
-                    uint64_t request_id, ErrorCode code, std::string message);
-  void FlushConnection(IoLoop& loop, const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(IoLoop& loop, Connection& conn);
-  void CloseConnection(IoLoop& loop, Connection& conn);
-  /// Adopts mailed-in connections and flushes ones marked dirty by
-  /// writers on other threads.
-  void ProcessMail(IoLoop& loop);
-  /// End of a loop's life: flush remaining transmit queues (bounded),
-  /// then close every connection.
-  void DrainLoopAndClose(IoLoop& loop);
-  static void WakeLoop(IoLoop& loop);
-
-  // --- Executor side ---
-  void ExecutorMain();
-  void Execute(WorkItem& item);
-  /// Executes a run of same-epoch QUERY items through one engine Run
-  /// and scatters per-item QUERY_RESULT responses.
-  void ExecuteQueryBurst(const std::vector<WorkItem*>& items);
-  void ExecuteBatch(WorkItem& item);
-  /// Screens and executes the wire jobs of `item.batch` through one
-  /// engine Run; slots screened out at the net layer (bad ids, unknown
-  /// enumerators, expired deadlines) carry their rejection in place.
-  BatchResponse RunJobs(WorkItem& item);
+  /// Screens each job (its deadline counted from its timer) and solves
+  /// the runnable ones through ONE engine Run tagged `tag`, so
+  /// in-process semantics — validation reasons, epoch checks,
+  /// fallbacks, tracing — apply verbatim. Jobs screened out at the net
+  /// layer (bad ids, unknown enumerators, expired deadlines) carry
+  /// their rejection in place.
+  std::vector<WireResult> Solve(
+      const std::vector<std::pair<const WireQuery*, const Timer*>>& jobs,
+      double batch_deadline_ms, std::string_view tag = {});
   /// Screens one wire job; true = appended to `runnable` (with its
   /// vertex sets kept alive in `sets`), false = `*rejected` filled.
   bool ScreenJob(const WireQuery& wire, double batch_deadline_ms,
                  const Timer& e2e_timer,
                  std::vector<std::unique_ptr<IndexedVertexSet>>& sets,
                  std::vector<FannrQuery>& runnable, WireResult* rejected);
+  /// One QUERY_RESULT per item of a same-epoch burst.
+  void ExecuteQueryBurst(const std::vector<WorkItem*>& items);
+  void ExecuteBatch(WorkItem& item);
+  /// UPDATE_WEIGHTS, or REPL_APPLY: a positioned replication batch
+  /// whose entries apply only when the graph is exactly at the
+  /// requested epoch (status 2 otherwise), which keeps every replica
+  /// walking the same epoch sequence. Applied batches are appended to
+  /// the configured WAL before the response is sent.
   void ExecuteUpdate(WorkItem& item);
-  /// Appends an applied batch to the configured WAL (no-op without
-  /// one). Executor thread only.
-  void LogToWal(const std::vector<UpdateWeightsRequest::Entry>& entries,
-                const dynamic::ApplyResult& applied);
-  /// Applies a positioned replication batch: entries apply only when
-  /// the graph is exactly at the requested epoch (status 2 otherwise),
-  /// which keeps every replica walking the same epoch sequence.
-  void ExecuteReplApply(WorkItem& item);
-  void ExecuteStats(WorkItem& item);
   /// Registers a standing query (opcode kSubscribe): screens it, solves
   /// the initial answer, and registers iff that answer is kOk. The
   /// SUBSCRIBE frame's request_id becomes the subscription id.
@@ -281,71 +93,22 @@ class FannServer {
   /// answers that visibly changed (or all of them, for force_push
   /// subscriptions). Called by the executor right after an applied
   /// weight update, so pushes are solved at exactly the epoch they are
-  /// stamped with.
+  /// stamped with. A push to a connection whose transmit backlog
+  /// exceeds max_outbound_bytes is dropped (conflated: delivery state
+  /// does not advance, so the next re-evaluation retries).
   void ReevaluateSubscriptions();
-  /// Pushes one re-evaluated answer unless the connection's transmit
-  /// backlog exceeds max_outbound_bytes — then the push is dropped
-  /// (conflated: delivery state does not advance, so the next
-  /// re-evaluation retries). Returns whether the frame was enqueued.
-  bool TryEnqueuePush(const std::shared_ptr<Connection>& conn,
-                      uint64_t subscription_id,
-                      std::span<const uint8_t> payload);
-  /// Validates a WireQuery's ids against the graph and materializes the
-  /// vertex sets; empty return = ok. Mirrors in-process screening: any
-  /// violation becomes a kRejected result, never UB.
-  std::string MaterializeSets(const WireQuery& wire,
-                              std::unique_ptr<IndexedVertexSet>& p,
-                              std::unique_ptr<IndexedVertexSet>& q) const;
+  /// Drops the subscriptions of closed connections.
+  void ReapSubscriptions();
 
   Graph* graph_;
   GphiResources resources_;
-  ServerConfig config_;
   std::unique_ptr<BatchQueryEngine> engine_;
   /// Live standing queries. Executor-thread-only, like the engine.
   std::unique_ptr<cont::SubscriptionTable> subs_;
 
-  Socket listener_;
-  uint16_t port_ = 0;
-  /// Blocking eventfd RequestShutdown writes and Wait() reads: a wake
-  /// can never be silently dropped the way a full pipe drops writes
-  /// (the counter stays readable until consumed), and writing it stays
-  /// async-signal-safe.
-  int drain_wake_fd_ = -1;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
-  /// Tells the event loops to flush and exit (set by Wait after the
-  /// executor has drained, so every response is already enqueued).
-  std::atomic<bool> io_stop_{false};
-
-  /// Fixed at Start(); the vector itself is immutable afterwards, which
-  /// is what lets RequestShutdown walk it from a signal handler.
-  std::vector<std::unique_ptr<IoLoop>> io_loops_;
-  std::atomic<size_t> live_connections_{0};
-  std::atomic<size_t> next_loop_{0};  ///< Round-robin placement.
-
-  std::thread executor_thread_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<WorkItem> queue_;
-  bool executor_stop_ = false;  // set once drain wants the executor out
-
-  // Drain accounting (written by Wait/executor, read by Wait).
-  Timer drain_timer_;
-  std::atomic<size_t> drained_items_{0};
-  std::atomic<size_t> aborted_items_{0};
-
-  // Server registry (single shard: event-loop threads contend only on
-  // relaxed atomics, never a lock).
-  obs::MetricsRegistry metrics_{1};
-  obs::CounterId m_req_query_, m_req_batch_, m_req_update_, m_req_stats_,
-      m_req_ping_, m_req_shutdown_, m_req_repl_, m_errors_, m_overloaded_,
-      m_bad_frames_, m_connections_, m_stale_admission_, m_accept_errors_,
-      m_req_subscribe_, m_req_unsubscribe_, m_pushes_sent_,
-      m_pushes_suppressed_, m_pushes_dropped_;
-  obs::GaugeId m_queue_depth_, m_subs_active_;
-  obs::HistogramId m_e2e_query_ms_, m_e2e_batch_ms_, m_e2e_update_ms_,
-      m_queue_wait_ms_, m_push_latency_ms_;
+  obs::CounterId m_pushes_sent_, m_pushes_suppressed_, m_pushes_dropped_;
+  obs::GaugeId m_subs_active_;
+  obs::HistogramId m_push_latency_ms_;
 };
 
 }  // namespace fannr::net

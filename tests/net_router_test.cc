@@ -4,19 +4,22 @@
 // what one server answers, before and after a replicated weight wave,
 // at every engine thread count; a shard updated behind the router's
 // back is detected and the query rejected with the engine's canonical
-// mid-batch epoch reason; and a killed-and-restarted replica rejoins
-// the fleet epoch by WAL replay plus router catch-up instead of a
-// rebuild.
+// mid-batch epoch reason; a killed-and-restarted replica rejoins the
+// fleet epoch by WAL replay plus router catch-up instead of a rebuild;
+// and pipelined queries from several connections at once answer
+// exactly as they would one at a time.
 
 #include "net/router.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dynamic/update.h"
@@ -481,179 +484,333 @@ TEST(FannRouter, RogueShardUpdateRejectsWithCanonicalStaleReason) {
 }
 
 TEST(FannRouter, KilledReplicaRejoinsViaWalCatchUp) {
-  const std::string router_wal_path = TempPath("router.wal");
-  const std::string shard1_wal_path = TempPath("shard1.wal");
-  std::remove(router_wal_path.c_str());
-  std::remove(shard1_wal_path.c_str());
+  // The router catches replicas up from its WAL's records when it has
+  // a WAL, and from its in-memory history when it has none.
+  for (const bool router_has_wal : {true, false}) {
+    SCOPED_TRACE(router_has_wal ? "router WAL" : "no router WAL");
+    const std::string router_wal_path = TempPath("router.wal");
+    const std::string shard1_wal_path = TempPath("shard1.wal");
+    std::remove(router_wal_path.c_str());
+    std::remove(shard1_wal_path.c_str());
 
-  // gen_graph evolves alongside the fleet and generates each wave from
-  // the correct epoch; it doubles as the in-process reference.
-  Graph gen_graph = testing::MakeRandomNetwork(kGraphVertices, kGraphSeed);
-  const GraphFingerprint epoch0 = gen_graph.Fingerprint();
+    // gen_graph evolves alongside the fleet and generates each wave from
+    // the correct epoch; it doubles as the in-process reference.
+    Graph gen_graph = testing::MakeRandomNetwork(kGraphVertices, kGraphSeed);
+    const GraphFingerprint epoch0 = gen_graph.Fingerprint();
 
+    ShardNode shard0(kGraphSeed, kGraphVertices);
+    auto shard1 = std::make_unique<ShardNode>(kGraphSeed, kGraphVertices);
+    const ShardPlan plan = ShardPlan::Build(shard0.graph, 2);
+
+    std::string error;
+    std::unique_ptr<dynamic::UpdateWal> router_wal =
+        dynamic::UpdateWal::Open(router_wal_path, epoch0, &error);
+    ASSERT_NE(router_wal, nullptr) << error;
+    std::unique_ptr<dynamic::UpdateWal> shard1_wal =
+        dynamic::UpdateWal::Open(shard1_wal_path, epoch0, &error);
+    ASSERT_NE(shard1_wal, nullptr) << error;
+
+    ASSERT_TRUE(shard0.Start(1, 0, nullptr, &error)) << error;
+    ASSERT_TRUE(shard1->Start(1, 0, shard1_wal.get(), &error)) << error;
+    const uint16_t shard1_port = shard1->server->port();
+
+    RouterConfig router_config;
+    router_config.shards = {{"127.0.0.1", shard0.server->port()},
+                            {"127.0.0.1", shard1_port}};
+    router_config.wal = router_has_wal ? router_wal.get() : nullptr;
+    auto router = std::make_unique<FannRouter>(plan, router_config);
+    ASSERT_TRUE(router->Start(&error)) << error;
+
+    FannClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", router->port()))
+        << client.last_error();
+
+    auto send_wave = [&](uint64_t seed, uint64_t expected_epoch) {
+      Rng rng(seed);
+      const dynamic::UpdateBatch wave =
+          dynamic::MakeCongestionWave(gen_graph, 0.05, 0.5, 3.0, rng);
+      ASSERT_FALSE(wave.empty());
+      UpdateWeightsRequest update;
+      for (const EdgeWeightUpdate& u : wave.updates()) {
+        update.entries.push_back({u.u, u.v, u.new_weight});
+      }
+      UpdateWeightsResponse response;
+      ASSERT_TRUE(client.UpdateWeights(update, response))
+          << client.last_error();
+      ASSERT_EQ(response.status, 0);
+      EXPECT_EQ(response.new_epoch, expected_epoch);
+      wave.Apply(gen_graph);
+      ASSERT_EQ(gen_graph.epoch(), expected_epoch);
+    };
+
+    // Wave 1 reaches both replicas (and shard 1's own WAL through the
+    // server's REPL_APPLY durability path).
+    send_wave(8801, 1);
+    EXPECT_EQ(router->repl_epoch(), 1u);
+
+    // Kill replica 1, then replicate wave 2 while it is down: the update
+    // must still succeed through replica 0, with the record retained in
+    // the router's WAL for the eventual catch-up.
+    shard1->Stop();
+    shard1.reset();
+    shard1_wal.reset();
+    send_wave(8802, 2);
+    EXPECT_EQ(router->repl_epoch(), 2u);
+
+    // Restart the replica the way a real process would: fresh epoch-0
+    // graph, replay its own WAL (reaching epoch 1 — its position when it
+    // died), listen on the same address.
+    shard1 = std::make_unique<ShardNode>(kGraphSeed, kGraphVertices);
+    shard1_wal = dynamic::UpdateWal::Open(shard1_wal_path, epoch0, &error);
+    ASSERT_NE(shard1_wal, nullptr) << error;
+    ASSERT_EQ(shard1_wal->records().size(), 1u);
+    ASSERT_EQ(shard1_wal->ReplayInto(shard1->graph, &error), 1u) << error;
+    ASSERT_EQ(shard1->graph.epoch(), 1u);
+    ASSERT_TRUE(shard1->Start(1, shard1_port, shard1_wal.get(), &error))
+        << error;
+
+    // A spanning query now hits the stale replica; the router detects the
+    // epoch disagreement, replays the missing tail (exactly wave 2 — one
+    // record), retries, and answers correctly at the fleet epoch.
+    WireQuery job;
+    job.algorithm = static_cast<uint8_t>(FannAlgorithm::kNaive);
+    job.aggregate = static_cast<uint8_t>(Aggregate::kSum);
+    job.phi = 0.5;
+    for (uint32_t v = 0, taken0 = 0, taken1 = 0;
+         v < plan.num_vertices() && (taken0 < 8 || taken1 < 8); ++v) {
+      uint32_t& taken = plan.OwnerOf(v) == 0 ? taken0 : taken1;
+      if (taken < 8) {
+        job.p.push_back(v);
+        ++taken;
+      }
+    }
+    Rng q_rng(6);
+    const std::vector<VertexId> q =
+        testing::SampleVertices(gen_graph, 6, q_rng);
+    job.q = std::vector<uint32_t>(q.begin(), q.end());
+
+    QueryResponse sharded;
+    ASSERT_TRUE(client.Query(job, sharded)) << client.last_error();
+    EXPECT_EQ(sharded.graph_epoch, 2u);
+    EXPECT_EQ(sharded.result.status, static_cast<uint8_t>(QueryStatus::kOk));
+
+    // Reference: the same job solved in-process on the twice-updated
+    // graph must agree bitwise (minus the summed work counter).
+    {
+      GphiResources resources;
+      resources.graph = &gen_graph;
+      BatchQueryEngine reference(resources, BatchOptions{});
+      IndexedVertexSet p_set(gen_graph.NumVertices(),
+                             std::vector<VertexId>(job.p.begin(), job.p.end()));
+      IndexedVertexSet q_set(gen_graph.NumVertices(),
+                             std::vector<VertexId>(job.q.begin(), job.q.end()));
+      FannrQuery reference_job;
+      reference_job.query.graph = &gen_graph;
+      reference_job.query.data_points = &p_set;
+      reference_job.query.query_points = &q_set;
+      reference_job.query.phi = job.phi;
+      reference_job.query.aggregate = static_cast<Aggregate>(job.aggregate);
+      reference_job.algorithm = static_cast<FannAlgorithm>(job.algorithm);
+      const std::vector<FannResult> results = reference.Run({reference_job});
+      ExpectAnswerEqual(sharded.result, ToWire(results[0]), "post-catch-up");
+    }
+
+    // The catch-up replayed exactly the one missing record, and the
+    // replica's next answers come from the fleet epoch (checked above via
+    // graph_epoch == 2 on a spanning query).
+    std::string stats;
+    ASSERT_TRUE(client.Stats(stats)) << client.last_error();
+    EXPECT_NE(stats.find("\"router.catch_up.records\": 1"), std::string::npos)
+        << stats;
+
+    // Router restart: a new router adopting the same WAL starts at the
+    // fleet epoch with nothing to replay and serves immediately. Without
+    // a WAL the history is gone, so the new router refuses the fleet
+    // rather than fork its epoch sequence.
+    router->RequestShutdown();
+    router->Wait();
+    router.reset();
+    client.Close();
+    router_wal = dynamic::UpdateWal::Open(router_wal_path, epoch0, &error);
+    ASSERT_NE(router_wal, nullptr) << error;
+    EXPECT_EQ(router_wal->records().size(), router_has_wal ? 2u : 0u);
+    router_config.wal = router_has_wal ? router_wal.get() : nullptr;
+    auto router2 = std::make_unique<FannRouter>(plan, router_config);
+    if (!router_has_wal) {
+      EXPECT_FALSE(router2->Start(&error));
+      EXPECT_NE(error.find("ahead of the router history"), std::string::npos)
+          << error;
+      router2.reset();
+      shard0.Stop();
+      shard1->Stop();
+      std::remove(router_wal_path.c_str());
+      std::remove(shard1_wal_path.c_str());
+      continue;
+    }
+    EXPECT_EQ(router_wal->end_epoch(), 2u);
+    ASSERT_TRUE(router2->Start(&error)) << error;
+    EXPECT_EQ(router2->repl_epoch(), 2u);
+
+    FannClient client2;
+    ASSERT_TRUE(client2.Connect("127.0.0.1", router2->port()))
+        << client2.last_error();
+    QueryResponse again;
+    ASSERT_TRUE(client2.Query(job, again)) << client2.last_error();
+    EXPECT_EQ(again.graph_epoch, 2u);
+    ExpectAnswerEqual(again.result, sharded.result, "after router restart");
+
+    router2->RequestShutdown();
+    router2->Wait();
+    shard0.Stop();
+    shard1->Stop();
+    std::remove(router_wal_path.c_str());
+    std::remove(shard1_wal_path.c_str());
+  }
+}
+
+TEST(FannRouter, ConcurrentPipelinedQueriesMatchSingleNode) {
+  // Several client connections pipeline QUERYs at once, so the router's
+  // executor sees bursts mixing connections and fans each burst out as
+  // one sub-batch per shard. Every answer must still be bitwise the
+  // single-node answer, before and after a replicated wave.
+  constexpr size_t kConnections = 4;
+  constexpr size_t kPerConnection = 12;
   ShardNode shard0(kGraphSeed, kGraphVertices);
-  auto shard1 = std::make_unique<ShardNode>(kGraphSeed, kGraphVertices);
+  ShardNode shard1(kGraphSeed, kGraphVertices);
+  ShardNode single(kGraphSeed, kGraphVertices);
   const ShardPlan plan = ShardPlan::Build(shard0.graph, 2);
 
   std::string error;
-  std::unique_ptr<dynamic::UpdateWal> router_wal =
-      dynamic::UpdateWal::Open(router_wal_path, epoch0, &error);
-  ASSERT_NE(router_wal, nullptr) << error;
-  std::unique_ptr<dynamic::UpdateWal> shard1_wal =
-      dynamic::UpdateWal::Open(shard1_wal_path, epoch0, &error);
-  ASSERT_NE(shard1_wal, nullptr) << error;
-
-  ASSERT_TRUE(shard0.Start(1, 0, nullptr, &error)) << error;
-  ASSERT_TRUE(shard1->Start(1, 0, shard1_wal.get(), &error)) << error;
-  const uint16_t shard1_port = shard1->server->port();
-
+  ASSERT_TRUE(shard0.Start(2, 0, nullptr, &error)) << error;
+  ASSERT_TRUE(shard1.Start(2, 0, nullptr, &error)) << error;
+  ASSERT_TRUE(single.Start(2, 0, nullptr, &error)) << error;
   RouterConfig router_config;
   router_config.shards = {{"127.0.0.1", shard0.server->port()},
-                          {"127.0.0.1", shard1_port}};
-  router_config.wal = router_wal.get();
-  auto router = std::make_unique<FannRouter>(plan, router_config);
-  ASSERT_TRUE(router->Start(&error)) << error;
+                          {"127.0.0.1", shard1.server->port()}};
+  FannRouter router(plan, router_config);
+  ASSERT_TRUE(router.Start(&error)) << error;
 
-  FannClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", router->port()))
-      << client.last_error();
-
-  auto send_wave = [&](uint64_t seed, uint64_t expected_epoch) {
-    Rng rng(seed);
-    const dynamic::UpdateBatch wave =
-        dynamic::MakeCongestionWave(gen_graph, 0.05, 0.5, 3.0, rng);
-    ASSERT_FALSE(wave.empty());
-    UpdateWeightsRequest update;
-    for (const EdgeWeightUpdate& u : wave.updates()) {
-      update.entries.push_back({u.u, u.v, u.new_weight});
+  // Connection c sends queries[c]: the sharded jobs (screening shapes
+  // included), padded with more spanning GD / R-List queries.
+  std::vector<std::vector<WireQuery>> queries(kConnections);
+  for (size_t c = 0; c < kConnections; ++c) {
+    queries[c] = BuildShardedJobs(single.graph);
+    Rng rng(700 + c);
+    while (queries[c].size() < kPerConnection) {
+      WireQuery job = queries[c][queries[c].size() % 4];
+      const std::vector<VertexId> p =
+          testing::SampleVertices(single.graph, 16, rng);
+      job.p = std::vector<uint32_t>(p.begin(), p.end());
+      queries[c].push_back(std::move(job));
     }
-    UpdateWeightsResponse response;
-    ASSERT_TRUE(client.UpdateWeights(update, response))
-        << client.last_error();
-    ASSERT_EQ(response.status, 0);
-    EXPECT_EQ(response.new_epoch, expected_epoch);
-    wave.Apply(gen_graph);
-    ASSERT_EQ(gen_graph.epoch(), expected_epoch);
+    std::rotate(queries[c].begin(), queries[c].begin() + c,
+                queries[c].end());
+  }
+
+  FannClient via_single;
+  ASSERT_TRUE(via_single.Connect("127.0.0.1", single.server->port()))
+      << via_single.last_error();
+  auto compare_round = [&](uint64_t expected_epoch, const std::string& label) {
+    std::vector<std::vector<QueryResponse>> routed(
+        kConnections, std::vector<QueryResponse>(kPerConnection));
+    std::vector<std::string> failures(kConnections);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> senders;
+    for (size_t c = 0; c < kConnections; ++c) {
+      senders.emplace_back([&, c] {
+        FannClient client;
+        if (!client.Connect("127.0.0.1", router.port())) {
+          failures[c] = client.last_error();
+          return;
+        }
+        ready.fetch_add(1);
+        while (ready.load() < kConnections) std::this_thread::yield();
+        std::vector<uint64_t> ids(kPerConnection);
+        for (size_t i = 0; i < kPerConnection; ++i) {
+          if (!client.SendQuery(queries[c][i], &ids[i])) {
+            failures[c] = client.last_error();
+            return;
+          }
+        }
+        for (size_t n = 0; n < kPerConnection; ++n) {
+          FrameHeader header;
+          std::vector<uint8_t> payload;
+          QueryResponse response;
+          if (!client.ReadAny(header, payload) ||
+              header.opcode != static_cast<uint16_t>(Opcode::kQueryResult) ||
+              !DecodeQueryResponse(payload, response)) {
+            failures[c] = "bad response frame: " + client.last_error();
+            return;
+          }
+          const auto slot = std::find(ids.begin(), ids.end(),
+                                      header.request_id);
+          if (slot == ids.end()) {
+            failures[c] = "unknown request id";
+            return;
+          }
+          routed[c][static_cast<size_t>(slot - ids.begin())] = response;
+        }
+      });
+    }
+    for (std::thread& t : senders) t.join();
+    for (size_t c = 0; c < kConnections; ++c) {
+      ASSERT_TRUE(failures[c].empty()) << label << ": " << failures[c];
+      for (size_t i = 0; i < kPerConnection; ++i) {
+        QueryResponse reference;
+        ASSERT_TRUE(via_single.Query(queries[c][i], reference))
+            << via_single.last_error();
+        const std::string where = label + " connection " + std::to_string(c) +
+                                  " query " + std::to_string(i);
+        EXPECT_EQ(routed[c][i].graph_epoch, expected_epoch) << where;
+        ExpectAnswerEqual(routed[c][i].result, reference.result, where);
+      }
+    }
   };
 
-  // Wave 1 reaches both replicas (and shard 1's own WAL through the
-  // server's REPL_APPLY durability path).
-  send_wave(8801, 1);
-  EXPECT_EQ(router->repl_epoch(), 1u);
+  compare_round(0, "steady");
 
-  // Kill replica 1, then replicate wave 2 while it is down: the update
-  // must still succeed through replica 0, with the record retained in
-  // the router's WAL for the eventual catch-up.
-  shard1->Stop();
-  shard1.reset();
-  shard1_wal.reset();
-  send_wave(8802, 2);
-  EXPECT_EQ(router->repl_epoch(), 2u);
-
-  // Restart the replica the way a real process would: fresh epoch-0
-  // graph, replay its own WAL (reaching epoch 1 — its position when it
-  // died), listen on the same address.
-  shard1 = std::make_unique<ShardNode>(kGraphSeed, kGraphVertices);
-  shard1_wal = dynamic::UpdateWal::Open(shard1_wal_path, epoch0, &error);
-  ASSERT_NE(shard1_wal, nullptr) << error;
-  ASSERT_EQ(shard1_wal->records().size(), 1u);
-  ASSERT_EQ(shard1_wal->ReplayInto(shard1->graph, &error), 1u) << error;
-  ASSERT_EQ(shard1->graph.epoch(), 1u);
-  ASSERT_TRUE(shard1->Start(1, shard1_port, shard1_wal.get(), &error))
-      << error;
-
-  // A spanning query now hits the stale replica; the router detects the
-  // epoch disagreement, replays the missing tail (exactly wave 2 — one
-  // record), retries, and answers correctly at the fleet epoch.
-  WireQuery job;
-  job.algorithm = static_cast<uint8_t>(FannAlgorithm::kNaive);
-  job.aggregate = static_cast<uint8_t>(Aggregate::kSum);
-  job.phi = 0.5;
-  for (uint32_t v = 0, taken0 = 0, taken1 = 0;
-       v < plan.num_vertices() && (taken0 < 8 || taken1 < 8); ++v) {
-    uint32_t& taken = plan.OwnerOf(v) == 0 ? taken0 : taken1;
-    if (taken < 8) {
-      job.p.push_back(v);
-      ++taken;
-    }
+  Rng wave_rng(654);
+  const dynamic::UpdateBatch wave =
+      dynamic::MakeCongestionWave(single.graph, 0.05, 0.5, 3.0, wave_rng);
+  ASSERT_FALSE(wave.empty());
+  UpdateWeightsRequest update;
+  for (const EdgeWeightUpdate& u : wave.updates()) {
+    update.entries.push_back({u.u, u.v, u.new_weight});
   }
-  Rng q_rng(6);
-  const std::vector<VertexId> q = testing::SampleVertices(gen_graph, 6, q_rng);
-  job.q = std::vector<uint32_t>(q.begin(), q.end());
+  FannClient updater;
+  ASSERT_TRUE(updater.Connect("127.0.0.1", router.port()))
+      << updater.last_error();
+  UpdateWeightsResponse routed_update;
+  UpdateWeightsResponse single_update;
+  ASSERT_TRUE(updater.UpdateWeights(update, routed_update))
+      << updater.last_error();
+  ASSERT_TRUE(via_single.UpdateWeights(update, single_update))
+      << via_single.last_error();
+  ASSERT_EQ(routed_update.new_epoch, 1u);
+  ASSERT_EQ(single_update.new_epoch, 1u);
 
-  QueryResponse sharded;
-  ASSERT_TRUE(client.Query(job, sharded)) << client.last_error();
-  EXPECT_EQ(sharded.graph_epoch, 2u);
-  EXPECT_EQ(sharded.result.status, static_cast<uint8_t>(QueryStatus::kOk));
+  compare_round(1, "post-wave");
 
-  // Reference: the same job solved in-process on the twice-updated
-  // graph must agree bitwise (minus the summed work counter).
-  {
-    GphiResources resources;
-    resources.graph = &gen_graph;
-    BatchQueryEngine reference(resources, BatchOptions{});
-    IndexedVertexSet p_set(gen_graph.NumVertices(),
-                           std::vector<VertexId>(job.p.begin(), job.p.end()));
-    IndexedVertexSet q_set(gen_graph.NumVertices(),
-                           std::vector<VertexId>(job.q.begin(), job.q.end()));
-    FannrQuery reference_job;
-    reference_job.query.graph = &gen_graph;
-    reference_job.query.data_points = &p_set;
-    reference_job.query.query_points = &q_set;
-    reference_job.query.phi = job.phi;
-    reference_job.query.aggregate = static_cast<Aggregate>(job.aggregate);
-    reference_job.algorithm = static_cast<FannAlgorithm>(job.algorithm);
-    const std::vector<FannResult> results = reference.Run({reference_job});
-    ExpectAnswerEqual(sharded.result, ToWire(results[0]), "post-catch-up");
-  }
-
-  // The catch-up replayed exactly the one missing record, and the
-  // replica's next answers come from the fleet epoch (checked above via
-  // graph_epoch == 2 on a spanning query).
   std::string stats;
-  ASSERT_TRUE(client.Stats(stats)) << client.last_error();
-  EXPECT_NE(stats.find("\"router.catch_up.records\": 1"), std::string::npos)
+  ASSERT_TRUE(updater.Stats(stats)) << updater.last_error();
+  EXPECT_NE(stats.find("\"router.requests.query\": " +
+                       std::to_string(2 * kConnections * kPerConnection)),
+            std::string::npos)
       << stats;
 
-  // Router restart: a new router adopting the same WAL starts at the
-  // fleet epoch with nothing to replay and serves immediately.
-  router->RequestShutdown();
-  router->Wait();
-  router.reset();
-  client.Close();
-  router_wal = dynamic::UpdateWal::Open(router_wal_path, epoch0, &error);
-  ASSERT_NE(router_wal, nullptr) << error;
-  EXPECT_EQ(router_wal->records().size(), 2u);
-  EXPECT_EQ(router_wal->end_epoch(), 2u);
-  router_config.wal = router_wal.get();
-  auto router2 = std::make_unique<FannRouter>(plan, router_config);
-  ASSERT_TRUE(router2->Start(&error)) << error;
-  EXPECT_EQ(router2->repl_epoch(), 2u);
-
-  FannClient client2;
-  ASSERT_TRUE(client2.Connect("127.0.0.1", router2->port()))
-      << client2.last_error();
-  QueryResponse again;
-  ASSERT_TRUE(client2.Query(job, again)) << client2.last_error();
-  EXPECT_EQ(again.graph_epoch, 2u);
-  ExpectAnswerEqual(again.result, sharded.result, "after router restart");
-
-  router2->RequestShutdown();
-  router2->Wait();
+  router.RequestShutdown();
+  router.Wait();
   shard0.Stop();
-  shard1->Stop();
-  std::remove(router_wal_path.c_str());
-  std::remove(shard1_wal_path.c_str());
+  shard1.Stop();
+  single.Stop();
 }
 
 TEST(FannRouter, WireShutdownTerminatesWait) {
-  // Regression: the SHUTDOWN frame is handled on a connection thread,
-  // and that thread calls RequestShutdown — which needs conn_mu_. Wait
-  // used to join connection threads while holding conn_mu_, so the
-  // shutdown-delivering thread could never exit and Wait never
-  // returned (the real binaries hung on exit; in-process tests always
-  // shut down from the test thread and missed it). A hang here shows
-  // up as the test timing out.
+  // Regression: the router once handled a SHUTDOWN frame on a
+  // connection thread that Wait could never join, so the real binaries
+  // hung on exit (in-process tests shut down from the test thread and
+  // missed it). The frame is now answered inline by the event loop; a
+  // hang here shows up as the test timing out.
   ShardNode shard0(kGraphSeed, kGraphVertices);
   ShardNode shard1(kGraphSeed, kGraphVertices);
   const ShardPlan plan = ShardPlan::Build(shard0.graph, 2);

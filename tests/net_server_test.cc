@@ -4,6 +4,12 @@
 // executor gate (ServerConfig::test_execution_gate) makes the
 // queue-dependent scenarios deterministic: tests hold the executor,
 // arrange the queue, then release.
+//
+// The transport cases also run against a FannRouter over two shard
+// servers: both front ends share one serving core, so framing, envelope
+// errors, pipelining, connection hygiene and drain must not tell them
+// apart. The router's executor is held by holding its shards' gates
+// while it waits on them mid fan-out.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +22,7 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
@@ -24,7 +31,9 @@
 #include <vector>
 
 #include "net/client.h"
+#include "net/router.h"
 #include "net/server.h"
+#include "net/shard_plan.h"
 #include "test_util.h"
 
 // The fd-exhaustion test starves the whole process's fd table, which
@@ -78,27 +87,85 @@ class ExecutorGate {
   size_t entered_ = 0;
 };
 
-/// Polls the server's queue-depth gauge until it reaches `depth`.
-void AwaitQueueDepth(const FannServer& server, double depth) {
-  for (int spin = 0; spin < 1000; ++spin) {
-    if (server.metrics().Snapshot().gauge("server.queue_depth") >= depth) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  FAIL() << "queue depth never reached " << depth;
+/// Threads of this process, from /proc.
+size_t ProcessThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
 }
+
+/// The front end a transport case drives.
+enum class Front { kServer, kRouter };
+constexpr Front kFronts[] = {Front::kServer, Front::kRouter};
 
 class NetServerTest : public ::testing::Test {
  protected:
   void StartServer(ServerConfig config = {}) {
+    StartFront(Front::kServer, std::move(config));
+  }
+
+  /// Starts a lone server, or a router over two shard servers that both
+  /// run `config` (its gate included, armed once the router is up so
+  /// the router's start-up probes pass). Replaces any running front.
+  void StartFront(Front front, ServerConfig config = {}) {
+    StopFront();
+    SCOPED_TRACE(front == Front::kServer ? "server" : "router");
     graph_ = std::make_unique<Graph>(testing::MakeRandomNetwork(200, 91));
     GphiResources resources;
     resources.graph = graph_.get();
-    server_ = std::make_unique<FannServer>(graph_.get(), resources,
-                                           std::move(config));
     std::string error;
-    ASSERT_TRUE(server_->Start(&error)) << error;
+    if (front == Front::kServer) {
+      server_ = std::make_unique<FannServer>(graph_.get(), resources,
+                                             std::move(config));
+      ASSERT_TRUE(server_->Start(&error)) << error;
+      front_ = server_.get();
+      prefix_ = "server.";
+      return;
+    }
+    if (config.test_execution_gate) {
+      config.test_execution_gate = [this,
+                                    gate = config.test_execution_gate] {
+        if (gates_armed_.load()) gate();
+      };
+    }
+    RouterConfig router_config;
+    for (size_t s = 0; s < 2; ++s) {
+      shard_graphs_.push_back(
+          std::make_unique<Graph>(testing::MakeRandomNetwork(200, 91)));
+      resources.graph = shard_graphs_.back().get();
+      shards_.push_back(std::make_unique<FannServer>(
+          shard_graphs_.back().get(), resources, config));
+      ASSERT_TRUE(shards_.back()->Start(&error)) << error;
+      router_config.shards.push_back({"127.0.0.1", shards_.back()->port()});
+    }
+    plan_ = std::make_unique<ShardPlan>(ShardPlan::Build(*graph_, 2));
+    router_ = std::make_unique<FannRouter>(*plan_, router_config);
+    ASSERT_TRUE(router_->Start(&error)) << error;
+    gates_armed_.store(true);
+    front_ = router_.get();
+    prefix_ = "router.";
+  }
+
+  void StopFront() {
+    router_.reset();
+    shards_.clear();
+    shard_graphs_.clear();
+    server_.reset();
+    gates_armed_.store(false);
+  }
+
+  /// A counter of the running front, by its unprefixed name.
+  uint64_t Counter(const std::string& name) const {
+    return front_->metrics().Snapshot().counter(prefix_ + name);
+  }
+
+  /// Polls the front's queue-depth gauge until it reaches `depth`.
+  void AwaitQueueDepth(double depth) const {
+    const std::string gauge = prefix_ + "queue_depth";
+    for (int spin = 0; spin < 1000; ++spin) {
+      if (front_->metrics().Snapshot().gauge(gauge) >= depth) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    FAIL() << "queue depth never reached " << depth;
   }
 
   WireQuery MakeQuery(uint64_t seed = 11) const {
@@ -117,18 +184,26 @@ class NetServerTest : public ::testing::Test {
 
   FannClient Connect() {
     FannClient client;
-    EXPECT_TRUE(client.Connect("127.0.0.1", server_->port()))
+    EXPECT_TRUE(client.Connect("127.0.0.1", front_->port()))
         << client.last_error();
     return client;
   }
 
   void ShutdownAndWait() {
-    server_->RequestShutdown();
-    server_->Wait();
+    front_->RequestShutdown();
+    front_->Wait();
   }
 
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<FannServer> server_;
+  // Router front: shards, plan, router.
+  std::vector<std::unique_ptr<Graph>> shard_graphs_;
+  std::vector<std::unique_ptr<FannServer>> shards_;
+  std::unique_ptr<ShardPlan> plan_;
+  std::unique_ptr<FannRouter> router_;
+  std::atomic<bool> gates_armed_{false};
+  ServingCore* front_ = nullptr;
+  std::string prefix_;
 };
 
 TEST_F(NetServerTest, PingQueryStatsLifecycle) {
@@ -192,97 +267,123 @@ TEST_F(NetServerTest, OutOfRangeAndUnknownEnumeratorsRejected) {
 // --- malformed frames over a raw socket -----------------------------------
 
 TEST_F(NetServerTest, BadMagicClosesConnectionServerSurvives) {
-  StartServer();
-  std::string error;
-  Socket raw = TcpConnect("127.0.0.1", server_->port(), &error);
-  ASSERT_TRUE(raw.valid()) << error;
-  std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 1, {});
-  frame[0] ^= 0xFF;  // corrupt the magic
-  ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
-  uint8_t byte;
-  bool eof = false;
-  EXPECT_FALSE(raw.ReadFull(&byte, 1, &eof));  // closed, no reply
+  for (const Front front : kFronts) {
+    StartFront(front);
+    std::string error;
+    Socket raw = TcpConnect("127.0.0.1", front_->port(), &error);
+    ASSERT_TRUE(raw.valid()) << error;
+    std::vector<uint8_t> frame =
+        EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 1, {});
+    frame[0] ^= 0xFF;  // corrupt the magic
+    ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
+    uint8_t byte;
+    bool eof = false;
+    EXPECT_FALSE(raw.ReadFull(&byte, 1, &eof));  // closed, no reply
 
-  // The server is still healthy for well-formed clients.
-  FannClient client = Connect();
-  EXPECT_TRUE(client.Ping()) << client.last_error();
-  EXPECT_EQ(server_->metrics().Snapshot().counter("server.bad_frames"), 1u);
-  ShutdownAndWait();
+    // The front is still healthy for well-formed clients.
+    FannClient client = Connect();
+    EXPECT_TRUE(client.Ping()) << client.last_error();
+    EXPECT_EQ(Counter("bad_frames"), 1u) << prefix_;
+    ShutdownAndWait();
+  }
 }
 
 TEST_F(NetServerTest, WrongVersionAnsweredInBand) {
-  StartServer();
-  std::string error;
-  Socket raw = TcpConnect("127.0.0.1", server_->port(), &error);
-  ASSERT_TRUE(raw.valid()) << error;
-  std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 9, {});
-  frame[4] ^= 0x02;  // corrupt the version field
-  ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
+  for (const Front front : kFronts) {
+    StartFront(front);
+    std::string error;
+    Socket raw = TcpConnect("127.0.0.1", front_->port(), &error);
+    ASSERT_TRUE(raw.valid()) << error;
+    std::vector<uint8_t> frame =
+        EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 9, {});
+    frame[4] ^= 0x02;  // corrupt the version field
+    ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
 
-  uint8_t header_bytes[kFrameHeaderBytes];
-  ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
-  FrameHeader header;
-  ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
-  EXPECT_EQ(header.request_id, 9u);
-  std::vector<uint8_t> payload(header.payload_length);
-  ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
-  ErrorResponse response;
-  ASSERT_TRUE(DecodeErrorResponse(payload, response));
-  EXPECT_EQ(response.code, ErrorCode::kUnsupportedVersion);
+    uint8_t header_bytes[kFrameHeaderBytes];
+    ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
+    FrameHeader header;
+    ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
+    EXPECT_EQ(header.request_id, 9u);
+    std::vector<uint8_t> payload(header.payload_length);
+    ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
+    ErrorResponse response;
+    ASSERT_TRUE(DecodeErrorResponse(payload, response));
+    EXPECT_EQ(response.code, ErrorCode::kUnsupportedVersion);
 
-  // Same connection keeps working at the right version.
-  frame = EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 10, {});
-  ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
-  ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
-  ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
-  ShutdownAndWait();
+    // Same connection keeps working at the right version.
+    frame = EncodeFrame(static_cast<uint16_t>(Opcode::kPing), 10, {});
+    ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
+    ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
+    ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
+    ShutdownAndWait();
+  }
 }
 
 TEST_F(NetServerTest, MalformedPayloadAnsweredInBand) {
-  StartServer();
-  std::string error;
-  Socket raw = TcpConnect("127.0.0.1", server_->port(), &error);
-  ASSERT_TRUE(raw.valid()) << error;
-  const std::vector<uint8_t> junk = {0xDE, 0xAD, 0xBE, 0xEF};
-  const std::vector<uint8_t> frame =
-      EncodeFrame(static_cast<uint16_t>(Opcode::kQuery), 4, junk);
-  ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
+  for (const Front front : kFronts) {
+    StartFront(front);
+    std::string error;
+    Socket raw = TcpConnect("127.0.0.1", front_->port(), &error);
+    ASSERT_TRUE(raw.valid()) << error;
+    const std::vector<uint8_t> junk = {0xDE, 0xAD, 0xBE, 0xEF};
+    const std::vector<uint8_t> frame =
+        EncodeFrame(static_cast<uint16_t>(Opcode::kQuery), 4, junk);
+    ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
 
-  uint8_t header_bytes[kFrameHeaderBytes];
-  ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
-  FrameHeader header;
-  ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
-  std::vector<uint8_t> payload(header.payload_length);
-  ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
-  ErrorResponse response;
-  ASSERT_TRUE(DecodeErrorResponse(payload, response));
-  EXPECT_EQ(response.code, ErrorCode::kMalformedPayload);
-  ShutdownAndWait();
+    uint8_t header_bytes[kFrameHeaderBytes];
+    ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
+    FrameHeader header;
+    ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
+    std::vector<uint8_t> payload(header.payload_length);
+    ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
+    ErrorResponse response;
+    ASSERT_TRUE(DecodeErrorResponse(payload, response));
+    EXPECT_EQ(response.code, ErrorCode::kMalformedPayload);
+    ShutdownAndWait();
+  }
 }
 
 TEST_F(NetServerTest, UnknownOpcodeAnsweredInBand) {
-  StartServer();
-  std::string error;
-  Socket raw = TcpConnect("127.0.0.1", server_->port(), &error);
-  ASSERT_TRUE(raw.valid()) << error;
-  const std::vector<uint8_t> frame = EncodeFrame(0x42, 5, {});
-  ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
-  uint8_t header_bytes[kFrameHeaderBytes];
-  ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
-  FrameHeader header;
-  ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
-  std::vector<uint8_t> payload(header.payload_length);
-  ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
-  ErrorResponse response;
-  ASSERT_TRUE(DecodeErrorResponse(payload, response));
-  EXPECT_EQ(response.code, ErrorCode::kUnknownOpcode);
-  ShutdownAndWait();
+  for (const Front front : kFronts) {
+    StartFront(front);
+    std::string error;
+    Socket raw = TcpConnect("127.0.0.1", front_->port(), &error);
+    ASSERT_TRUE(raw.valid()) << error;
+    const std::vector<uint8_t> frame = EncodeFrame(0x42, 5, {});
+    ASSERT_TRUE(raw.WriteFull(frame.data(), frame.size()));
+    uint8_t header_bytes[kFrameHeaderBytes];
+    ASSERT_TRUE(raw.ReadFull(header_bytes, sizeof(header_bytes)));
+    FrameHeader header;
+    ASSERT_TRUE(DecodeFrameHeader(header_bytes, header));
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kError));
+    std::vector<uint8_t> payload(header.payload_length);
+    ASSERT_TRUE(raw.ReadFull(payload.data(), payload.size()));
+    ErrorResponse response;
+    ASSERT_TRUE(DecodeErrorResponse(payload, response));
+    EXPECT_EQ(response.code, ErrorCode::kUnknownOpcode);
+
+    if (front == Front::kRouter) {
+      // Replication and standing queries are shard-side features: the
+      // router answers them in band instead of forwarding them.
+      FannClient client = Connect();
+      ReplApplyRequest repl;
+      UpdateWeightsResponse repl_response;
+      EXPECT_FALSE(client.ReplApply(repl, repl_response));
+      EXPECT_EQ(client.last_error_code(), ErrorCode::kUnknownOpcode)
+          << client.last_error();
+      uint64_t subscription_id = 0;
+      SubscribeResponse subscribe_response;
+      EXPECT_FALSE(client.Subscribe(MakeQuery(), /*force_push=*/false,
+                                    &subscription_id, subscribe_response));
+      EXPECT_EQ(client.last_error_code(), ErrorCode::kUnknownOpcode)
+          << client.last_error();
+      EXPECT_TRUE(client.Ping()) << client.last_error();
+    }
+    ShutdownAndWait();
+  }
 }
 
 // --- bounded admission ----------------------------------------------------
@@ -313,9 +414,9 @@ TEST_F(NetServerTest, FullQueueShedsWithOverloaded) {
   send_filler(0);
   gate.AwaitEntered(1);  // filler 0 is held by the executor
   send_filler(1);
-  AwaitQueueDepth(*server_, 1.0);
+  AwaitQueueDepth(1.0);
   send_filler(2);
-  AwaitQueueDepth(*server_, 2.0);
+  AwaitQueueDepth(2.0);
 
   FannClient shed = Connect();
   QueryResponse response;
@@ -424,7 +525,7 @@ TEST_F(NetServerTest, EpochAdvanceBetweenAdmissionAndExecutionRejects) {
     EXPECT_EQ(retry.result.status, static_cast<uint8_t>(QueryStatus::kOk));
     EXPECT_EQ(retry.graph_epoch, 1u);
   });
-  AwaitQueueDepth(*server_, 1.0);  // the query is queued behind the update
+  AwaitQueueDepth(1.0);  // the query is queued behind the update
   gate.Release();
   updater.join();
   querier.join();
@@ -437,51 +538,61 @@ TEST_F(NetServerTest, EpochAdvanceBetweenAdmissionAndExecutionRejects) {
 // --- graceful drain -------------------------------------------------------
 
 TEST_F(NetServerTest, ShutdownFrameDrainsQueuedWork) {
-  ExecutorGate gate;
-  gate.Hold();
-  ServerConfig config;
-  config.test_execution_gate = gate.AsHook();
-  StartServer(std::move(config));
+  for (const Front front : kFronts) {
+    ExecutorGate gate;
+    gate.Hold();
+    ServerConfig config;
+    config.test_execution_gate = gate.AsHook();
+    StartFront(front, std::move(config));
 
-  // One item held at the gate, two more queued behind it.
-  std::vector<std::thread> senders;
-  std::atomic<size_t> ok{0};
-  for (size_t i = 0; i < 3; ++i) {
-    senders.emplace_back([&, i] {
-      FannClient client = Connect();
-      QueryResponse response;
-      if (client.Query(MakeQuery(200 + i), response) &&
-          response.result.status == static_cast<uint8_t>(QueryStatus::kOk)) {
-        ok.fetch_add(1);
-      }
-    });
+    // One item held at the gate, two more queued behind it. The first
+    // is held before the others are sent, so none can merge with it.
+    std::vector<std::thread> senders;
+    std::atomic<size_t> ok{0};
+    auto send = [&](size_t i) {
+      senders.emplace_back([&, i] {
+        FannClient client = Connect();
+        QueryResponse response;
+        if (client.Query(MakeQuery(200 + i), response) &&
+            response.result.status ==
+                static_cast<uint8_t>(QueryStatus::kOk)) {
+          ok.fetch_add(1);
+        }
+      });
+    };
+    send(0);
+    gate.AwaitEntered(1);
+    send(1);
+    send(2);
+    AwaitQueueDepth(2.0);
+
+    FannClient admin = Connect();
+    ASSERT_TRUE(admin.Shutdown()) << admin.last_error();
+    for (int spin = 0; spin < 200 && !front_->draining(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(front_->draining());
+
+    // Let Wait() start the drain (arm the timer, set the executor stop
+    // flag) while the executor is still parked at the gate, so the
+    // queued items finish as *drained* work.
+    DrainStats stats;
+    std::thread wait_thread([&] { stats = front_->Wait(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    gate.Release();
+    wait_thread.join();
+    for (std::thread& t : senders) t.join();
+
+    EXPECT_EQ(ok.load(), 3u) << "drain must answer the queued work";
+    // The server's gate sits before its executor reads the stop flag,
+    // so the held item counts as drained too; the router's executor was
+    // already mid fan-out with it when the drain began.
+    EXPECT_EQ(stats.drained_items, front == Front::kServer ? 3u : 2u);
+    EXPECT_EQ(stats.aborted_items, 0u);
+    EXPECT_TRUE(stats.within_deadline);
+    EXPECT_NE(stats.final_stats_json.find("\"draining\": true"),
+              std::string::npos);
   }
-  gate.AwaitEntered(1);
-  AwaitQueueDepth(*server_, 2.0);
-
-  FannClient admin = Connect();
-  ASSERT_TRUE(admin.Shutdown()) << admin.last_error();
-  for (int spin = 0; spin < 200 && !server_->draining(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(server_->draining());
-
-  // Let Wait() start the drain (join the accept thread, arm the timer,
-  // set the executor stop flag) while the executor is still parked at
-  // the gate, so all three items finish as *drained* work.
-  DrainStats stats;
-  std::thread wait_thread([&] { stats = server_->Wait(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  gate.Release();
-  wait_thread.join();
-  for (std::thread& t : senders) t.join();
-
-  EXPECT_EQ(ok.load(), 3u) << "drain must answer the queued work";
-  EXPECT_EQ(stats.drained_items, 3u);
-  EXPECT_EQ(stats.aborted_items, 0u);
-  EXPECT_TRUE(stats.within_deadline);
-  EXPECT_NE(stats.final_stats_json.find("\"draining\": true"),
-            std::string::npos);
 }
 
 TEST_F(NetServerTest, DrainDeadlineAbortsRemainingItems) {
@@ -506,7 +617,7 @@ TEST_F(NetServerTest, DrainDeadlineAbortsRemainingItems) {
     });
   }
   gate.AwaitEntered(1);
-  AwaitQueueDepth(*server_, 1.0);
+  AwaitQueueDepth(1.0);
 
   server_->RequestShutdown();
   // Hold the gate until the drain is well past its (zero) deadline, so
@@ -527,52 +638,63 @@ TEST_F(NetServerTest, DrainDeadlineAbortsRemainingItems) {
 }
 
 TEST_F(NetServerTest, RequestShutdownIsIdempotent) {
-  StartServer();
-  server_->RequestShutdown();
-  server_->RequestShutdown();
-  server_->RequestShutdown();
-  const DrainStats stats = server_->Wait();
-  EXPECT_TRUE(stats.within_deadline);
+  for (const Front front : kFronts) {
+    StartFront(front);
+    front_->RequestShutdown();
+    front_->RequestShutdown();
+    front_->RequestShutdown();
+    const DrainStats stats = front_->Wait();
+    EXPECT_TRUE(stats.within_deadline);
+  }
 }
 
 TEST_F(NetServerTest, RequestShutdownFloodNeverLosesTheWake) {
-  StartServer();
-  // A pipe-backed wake drops writes once 64 KiB of unconsumed bytes
-  // accumulate; 100k racing requests from several threads would exceed
-  // that many times over. The eventfd wake must still shut down
-  // promptly — the test timeout is the regression detector.
-  std::vector<std::thread> hammers;
-  for (int t = 0; t < 4; ++t) {
-    hammers.emplace_back([&] {
-      for (int i = 0; i < 25'000; ++i) server_->RequestShutdown();
-    });
+  for (const Front front : kFronts) {
+    StartFront(front);
+    // A pipe-backed wake drops writes once 64 KiB of unconsumed bytes
+    // accumulate; 100k racing requests from several threads would
+    // exceed that many times over. The eventfd wake must still shut
+    // down promptly — the test timeout is the regression detector.
+    std::vector<std::thread> hammers;
+    for (int t = 0; t < 4; ++t) {
+      hammers.emplace_back([&] {
+        for (int i = 0; i < 25'000; ++i) front_->RequestShutdown();
+      });
+    }
+    for (std::thread& t : hammers) t.join();
+    const DrainStats stats = front_->Wait();
+    EXPECT_TRUE(stats.within_deadline);
   }
-  for (std::thread& t : hammers) t.join();
-  const DrainStats stats = server_->Wait();
-  EXPECT_TRUE(stats.within_deadline);
 }
 
 // --- connection lifecycle hygiene -----------------------------------------
 
 TEST_F(NetServerTest, ConnectionChurnDoesNotAccumulateThreads) {
-  StartServer();
-  // 60 connect → query → disconnect cycles. Finished reader threads are
-  // reaped as later connections arrive, so tracked threads stay bounded
-  // by the (tiny) live set instead of growing with total connections
-  // served.
-  for (size_t i = 0; i < 60; ++i) {
-    FannClient client = Connect();
-    QueryResponse response;
-    ASSERT_TRUE(client.Query(MakeQuery(500 + i), response))
-        << client.last_error();
-    client.Close();
+  for (const Front front : kFronts) {
+    StartFront(front);
+    // Connections are served by the fixed event-loop pool: neither 60
+    // connect → query → disconnect cycles nor 8 connections held open
+    // at once start a thread.
+    const size_t threads_at_start = ProcessThreads();
+    for (size_t i = 0; i < 60; ++i) {
+      FannClient client = Connect();
+      QueryResponse response;
+      ASSERT_TRUE(client.Query(MakeQuery(500 + i), response))
+          << client.last_error();
+      client.Close();
+    }
+    std::vector<FannClient> held(8);
+    for (FannClient& client : held) {
+      ASSERT_TRUE(client.Connect("127.0.0.1", front_->port()));
+      QueryResponse response;
+      ASSERT_TRUE(client.Query(MakeQuery(), response)) << client.last_error();
+    }
+    EXPECT_EQ(ProcessThreads(), threads_at_start)
+        << "threads were started per connection";
+    EXPECT_EQ(front_->tracked_connection_threads(), 1u);
+    EXPECT_EQ(Counter("connections"), 68u);
+    ShutdownAndWait();
   }
-  // The last few closes may not have been followed by an accept (which
-  // is what triggers a reap); everything before must have been.
-  EXPECT_LE(server_->tracked_connection_threads(), 4u)
-      << "finished connection threads are accumulating";
-  EXPECT_EQ(server_->metrics().Snapshot().counter("server.connections"), 60u);
-  ShutdownAndWait();
 }
 
 TEST_F(NetServerTest, MidResponseDisconnectDoesNotKillServer) {
@@ -730,79 +852,85 @@ TEST_F(NetServerTest, DrainingServerRefusesNewWork) {
 // --- pipelining -----------------------------------------------------------
 
 TEST_F(NetServerTest, PipelinedQueriesAnswerEveryShuffledId) {
-  StartServer();
-  FannClient client = Connect();
+  for (const Front front : kFronts) {
+    StartFront(front);
+    FannClient client = Connect();
 
-  // 32 queries written back-to-back with shuffled, sparse request ids
-  // before a single response is read. Every id must be answered exactly
-  // once, correlated by id (not arrival order), and each answer must
-  // match what the same query gets over a fresh synchronous connection.
-  constexpr size_t kInFlight = 32;
-  std::vector<WireQuery> queries;
-  std::vector<uint64_t> ids;
-  for (size_t i = 0; i < kInFlight; ++i) {
-    queries.push_back(MakeQuery(100 + i));
-  }
-  for (size_t i = 0; i < kInFlight; ++i) {
-    uint64_t id = 0;
-    ASSERT_TRUE(client.SendQuery(queries[i], &id)) << client.last_error();
-    ids.push_back(id);
-  }
+    // 32 queries written back-to-back with shuffled, sparse request ids
+    // before a single response is read. Every id must be answered
+    // exactly once, correlated by id (not arrival order), and each
+    // answer must match what the same query gets over a fresh
+    // synchronous connection.
+    constexpr size_t kInFlight = 32;
+    std::vector<WireQuery> queries;
+    std::vector<uint64_t> ids;
+    for (size_t i = 0; i < kInFlight; ++i) {
+      queries.push_back(MakeQuery(100 + i));
+    }
+    for (size_t i = 0; i < kInFlight; ++i) {
+      uint64_t id = 0;
+      ASSERT_TRUE(client.SendQuery(queries[i], &id)) << client.last_error();
+      ids.push_back(id);
+    }
 
-  std::map<uint64_t, QueryResponse> by_id;
-  for (size_t i = 0; i < kInFlight; ++i) {
-    FrameHeader header;
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
-    ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kQueryResult));
-    QueryResponse response;
-    ASSERT_TRUE(DecodeQueryResponse(payload, response));
-    EXPECT_TRUE(by_id.emplace(header.request_id, response).second)
-        << "request id " << header.request_id << " answered twice";
-  }
+    std::map<uint64_t, QueryResponse> by_id;
+    for (size_t i = 0; i < kInFlight; ++i) {
+      FrameHeader header;
+      std::vector<uint8_t> payload;
+      ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
+      ASSERT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kQueryResult));
+      QueryResponse response;
+      ASSERT_TRUE(DecodeQueryResponse(payload, response));
+      EXPECT_TRUE(by_id.emplace(header.request_id, response).second)
+          << "request id " << header.request_id << " answered twice";
+    }
 
-  FannClient reference = Connect();
-  for (size_t i = 0; i < kInFlight; ++i) {
-    auto it = by_id.find(ids[i]);
-    ASSERT_NE(it, by_id.end()) << "request id " << ids[i] << " unanswered";
-    QueryResponse expected;
-    ASSERT_TRUE(reference.Query(queries[i], expected))
-        << reference.last_error();
-    EXPECT_EQ(it->second.result.status, expected.result.status);
-    EXPECT_EQ(it->second.result.best, expected.result.best);
-    EXPECT_EQ(it->second.result.distance, expected.result.distance);
+    FannClient reference = Connect();
+    for (size_t i = 0; i < kInFlight; ++i) {
+      auto it = by_id.find(ids[i]);
+      ASSERT_NE(it, by_id.end()) << "request id " << ids[i] << " unanswered";
+      QueryResponse expected;
+      ASSERT_TRUE(reference.Query(queries[i], expected))
+          << reference.last_error();
+      EXPECT_EQ(it->second.result.status, expected.result.status);
+      EXPECT_EQ(it->second.result.best, expected.result.best);
+      EXPECT_EQ(it->second.result.distance, expected.result.distance);
+    }
+    ShutdownAndWait();
   }
-  ShutdownAndWait();
 }
 
 TEST_F(NetServerTest, PipelinedPingOvertakesHeldWork) {
-  ExecutorGate gate;
-  gate.Hold();
-  ServerConfig config;
-  config.test_execution_gate = gate.AsHook();
-  StartServer(std::move(config));
+  for (const Front front : kFronts) {
+    ExecutorGate gate;
+    gate.Hold();
+    ServerConfig config;
+    config.test_execution_gate = gate.AsHook();
+    StartFront(front, std::move(config));
 
-  // A QUERY is parked at the executor gate; a PING sent afterwards on
-  // the same connection is answered inline by the event loop — the
-  // documented out-of-order completion pipelining allows.
-  FannClient client = Connect();
-  uint64_t query_id = 0;
-  uint64_t ping_id = 0;
-  ASSERT_TRUE(client.SendQuery(MakeQuery(), &query_id));
-  gate.AwaitEntered(1);
-  ASSERT_TRUE(client.SendPing(&ping_id));
+    // A QUERY is parked at the executor gate; a PING sent afterwards on
+    // the same connection is answered inline by the event loop — the
+    // documented out-of-order completion pipelining allows.
+    FannClient client = Connect();
+    uint64_t query_id = 0;
+    uint64_t ping_id = 0;
+    ASSERT_TRUE(client.SendQuery(MakeQuery(), &query_id));
+    gate.AwaitEntered(1);
+    ASSERT_TRUE(client.SendPing(&ping_id));
 
-  FrameHeader header;
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
-  EXPECT_EQ(header.request_id, ping_id) << "PONG did not overtake the query";
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
+    EXPECT_EQ(header.request_id, ping_id)
+        << "PONG did not overtake the query";
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kPong));
 
-  gate.Release();
-  ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
-  EXPECT_EQ(header.request_id, query_id);
-  EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kQueryResult));
-  ShutdownAndWait();
+    gate.Release();
+    ASSERT_TRUE(client.ReadAny(header, payload)) << client.last_error();
+    EXPECT_EQ(header.request_id, query_id);
+    EXPECT_EQ(header.opcode, static_cast<uint16_t>(Opcode::kQueryResult));
+    ShutdownAndWait();
+  }
 }
 
 TEST_F(NetServerTest, BackpressureBoundsUnreadResponsesWithoutLoss) {

@@ -15,8 +15,9 @@
 // count. Every shard must be reachable at start.
 //
 // Prints "listening on HOST:PORT" once ready (scripts parse this line),
-// then blocks until SIGTERM/SIGINT or a client SHUTDOWN frame. Shards
-// are NOT shut down — they belong to the operator.
+// then blocks until SIGTERM/SIGINT or a client SHUTDOWN frame, drains,
+// prints the drain accounting, and exits 0 iff the drain met its
+// deadline. Shards are NOT shut down — they belong to the operator.
 
 #include <csignal>
 #include <cstdio>
@@ -38,7 +39,7 @@ using namespace fannr;
 net::FannRouter* g_router = nullptr;
 
 void HandleSignal(int) {
-  // Safe by the same contract as the server: one write(2) to an eventfd
+  // Async-signal-safe by the serving core's contract: eventfd write(2)s
   // plus a relaxed store.
   if (g_router != nullptr) g_router->RequestShutdown();
 }
@@ -146,8 +147,13 @@ int main(int argc, char** argv) {
   std::printf("listening on %s:%u\n", host.c_str(), router.port());
   std::fflush(stdout);
 
-  router.Wait();
+  const net::DrainStats stats = router.Wait();
   g_router = nullptr;
-  std::printf("final stats:\n%s\n", router.StatsJson().c_str());
-  return 0;
+  std::printf(
+      "drained in %.1f ms (%zu item%s executed, %zu aborted, %s deadline)\n",
+      stats.drain_ms, stats.drained_items,
+      stats.drained_items == 1 ? "" : "s", stats.aborted_items,
+      stats.within_deadline ? "within" : "PAST");
+  std::printf("final stats:\n%s\n", stats.final_stats_json.c_str());
+  return stats.within_deadline ? 0 : 1;
 }

@@ -61,8 +61,8 @@ using namespace fannr;
 net::FannServer* g_server = nullptr;
 
 void HandleSignal(int) {
-  // RequestShutdown is async-signal-safe by contract (one write(2) to
-  // the wakeup pipe plus a relaxed store).
+  // RequestShutdown is async-signal-safe by contract (eventfd write(2)s
+  // plus a relaxed store).
   if (g_server != nullptr) g_server->RequestShutdown();
 }
 
