@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
 #include "common/timer.h"
 
@@ -45,60 +44,45 @@ Env Env::Load(const EnvNeeds& needs) {
   const std::string cache_dir = EnvOr("FANNR_CACHE", ".fannr_cache");
   std::filesystem::create_directories(cache_dir);
 
-  Timer t;
-  const std::string graph_cache =
-      CachePath(cache_dir, env.dataset_, "graph");
-  {
-    std::ifstream in(graph_cache, std::ios::binary);
-    if (in) {
-      auto loaded = Graph::Load(in);
-      if (loaded.has_value()) {
-        env.graph_ = std::make_unique<Graph>(std::move(*loaded));
-      }
-    }
-  }
-  if (env.graph_ == nullptr) {
-    env.graph_ = std::make_unique<Graph>(BuildPreset(env.dataset_));
-    std::ofstream out(graph_cache, std::ios::binary);
-    if (out) env.graph_->Save(out);
-  }
-  std::fprintf(stderr, "[env] dataset %s: %zu vertices, %zu edges (%.1fs)\n",
-               env.dataset_.c_str(), env.graph_->NumVertices(),
-               env.graph_->NumEdges(), t.Seconds());
-
+  // Every structure is opened from the cache by mmap at default
+  // validation (header, fingerprint and structural checks), or built and
+  // cached when its file is missing, corrupt, built against another
+  // graph, or left by an older format.
   auto load_or_build = [&](const std::string& kind, auto load_fn,
-                           auto build_fn, auto save_fn, auto& slot) {
+                           auto build_fn, auto& slot) {
     const std::string path = CachePath(cache_dir, env.dataset_, kind);
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (in) {
-        slot = load_fn(in);
-        if (slot.has_value()) {
-          std::fprintf(stderr, "[env] %s loaded from cache\n", kind.c_str());
-          return;
-        }
-      }
+    slot = load_fn(path);
+    if (slot.has_value()) {
+      std::fprintf(stderr, "[env] %s loaded from cache\n", kind.c_str());
+      return;
     }
     Timer build_timer;
     slot = build_fn();
     std::fprintf(stderr, "[env] %s built in %.1fs\n", kind.c_str(),
                  build_timer.Seconds());
-    if (slot.has_value()) {
-      std::ofstream out(path, std::ios::binary);
-      if (out && save_fn(*slot, out)) {
-        std::fprintf(stderr, "[env] %s cached to %s\n", kind.c_str(),
-                     path.c_str());
-      }
+    if (slot.has_value() && slot->SaveV3(path)) {
+      std::fprintf(stderr, "[env] %s cached to %s\n", kind.c_str(),
+                   path.c_str());
     }
   };
+
+  Timer t;
+  std::optional<Graph> graph;
+  load_or_build(
+      "graph", [](const std::string& path) { return Graph::LoadMmap(path); },
+      [&] { return std::optional<Graph>(BuildPreset(env.dataset_)); }, graph);
+  env.graph_ = std::make_unique<Graph>(std::move(*graph));
+  std::fprintf(stderr, "[env] dataset %s: %zu vertices, %zu edges (%.1fs)\n",
+               env.dataset_.c_str(), env.graph_->NumVertices(),
+               env.graph_->NumEdges(), t.Seconds());
 
   if (needs.labels) {
     load_or_build(
         "phl",
-        [&](std::istream& in) { return HubLabels::Load(*env.graph_, in); },
-        [&] { return HubLabels::Build(*env.graph_); },
-        [](const HubLabels& l, std::ostream& out) { return l.Save(out); },
-        env.labels_);
+        [&](const std::string& path) {
+          return HubLabels::LoadMmap(*env.graph_, path);
+        },
+        [&] { return HubLabels::Build(*env.graph_); }, env.labels_);
     FANNR_CHECK(env.labels_.has_value());
   }
   if (needs.gtree) {
@@ -106,26 +90,24 @@ Env Env::Load(const EnvNeeds& needs) {
     options.leaf_capacity = LeafCapacityFor(env.dataset_);
     load_or_build(
         "gtree",
-        [&](std::istream& in) { return GTree::Load(*env.graph_, in); },
+        [&](const std::string& path) {
+          return GTree::LoadMmap(*env.graph_, path);
+        },
         [&] {
           return std::optional<GTree>(GTree::Build(*env.graph_, options));
         },
-        [](const GTree& g, std::ostream& out) { return g.Save(out); },
         env.gtree_);
     FANNR_CHECK(env.gtree_.has_value());
   }
   if (needs.ch) {
     load_or_build(
         "ch",
-        [&](std::istream& in) {
-          return ContractionHierarchy::Load(*env.graph_, in);
+        [&](const std::string& path) {
+          return ContractionHierarchy::LoadMmap(*env.graph_, path);
         },
         [&] {
           return std::optional<ContractionHierarchy>(
               ContractionHierarchy::Build(*env.graph_));
-        },
-        [](const ContractionHierarchy& c, std::ostream& out) {
-          return c.Save(out);
         },
         env.ch_);
     FANNR_CHECK(env.ch_.has_value());

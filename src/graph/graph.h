@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -177,17 +176,10 @@ class Graph {
   /// Approximate heap memory used by the CSR arrays, in bytes.
   size_t MemoryBytes() const;
 
-  /// Serializes the CSR arrays (binary cache format; see
-  /// common/serialize.h). Much faster to reload than regenerating or
-  /// re-parsing DIMACS for large networks. Returns false on I/O failure.
-  bool Save(std::ostream& out) const;
-
-  /// Reloads a graph written by Save. Returns nullopt on corrupt input.
-  static std::optional<Graph> Load(std::istream& in);
-
-  /// Writes the arena (format v3, graph/index_io.h) cache file: the CSR
-  /// arrays as 64-byte-aligned sections behind the shared header, with
-  /// arc padding bytes zeroed so the file is bit-deterministic. Returns
+  /// Writes the graph cache file (graph/index_io.h): the CSR arrays as
+  /// 64-byte-aligned sections behind the shared header, with arc padding
+  /// bytes zeroed so the file is bit-deterministic. Much faster to reload
+  /// than regenerating or re-parsing DIMACS for large networks. Returns
   /// false on I/O failure.
   bool SaveV3(const std::string& path) const;
 
@@ -208,7 +200,7 @@ class Graph {
  private:
   Graph() = default;
 
-  /// Recomputes weight_checksum_ from scratch (construction and Load).
+  /// Recomputes weight_checksum_ from scratch (construction).
   void RecomputeWeightChecksum();
 
   Column<size_t> offsets_;  // size NumVertices() + 1

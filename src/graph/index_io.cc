@@ -1,5 +1,9 @@
 #include "graph/index_io.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -32,29 +36,6 @@ T LoadPod(const std::byte* base, uint64_t offset) {
 }
 
 }  // namespace
-
-void WriteIndexHeader(BinaryWriter& writer, uint64_t magic,
-                      const GraphFingerprint& fingerprint) {
-  writer.Pod(magic);
-  writer.Pod(kIndexFormatVersion);
-  writer.Pod(fingerprint.vertices);
-  writer.Pod(fingerprint.edges);
-  writer.Pod(fingerprint.weight_checksum);
-}
-
-bool ReadIndexHeader(BinaryReader& reader, uint64_t magic,
-                     const GraphFingerprint& expected) {
-  uint64_t got_magic = 0;
-  uint32_t version = 0;
-  GraphFingerprint stored;
-  if (!reader.Pod(got_magic) || got_magic != magic) return false;
-  if (!reader.Pod(version) || version != kIndexFormatVersion) return false;
-  if (!reader.Pod(stored.vertices) || !reader.Pod(stored.edges) ||
-      !reader.Pod(stored.weight_checksum)) {
-    return false;
-  }
-  return stored == expected;
-}
 
 void ArenaChecksum::Absorb(const void* data, size_t bytes) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -110,7 +91,15 @@ bool ArenaWriter::Write(const std::string& path, uint64_t magic,
   }
   const uint64_t file_bytes = cursor;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Write a temporary file in the target's directory and rename it over
+  // `path` when complete. Rewriting `path` in place would change the
+  // pages of a live MAP_PRIVATE mapping of it (a private mapping does
+  // not snapshot pages it has not touched), and reads past the end of a
+  // shorter new file would raise SIGBUS.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp." + std::to_string(getpid()) + "." +
+                           std::to_string(next_temp.fetch_add(1));
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) return false;
 
   ArenaChecksum checksum;
@@ -156,8 +145,12 @@ bool ArenaWriter::Write(const std::string& path, uint64_t magic,
   const uint64_t final_checksum = checksum.Finish();
   out.seekp(48);
   out.write(reinterpret_cast<const char*>(&final_checksum), 8);
-  out.flush();
-  return static_cast<bool>(out);
+  out.close();
+  if (!out || std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
@@ -199,8 +192,8 @@ std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
 
   if (validation == ArenaValidation::kFull) {
     // The checksum covers the table, the padding, and every section —
-    // everything past the header — so a kFull open certifies the same
-    // bytes a v2 read-everything load would have checked.
+    // everything past the header — so a kFull open certifies every byte
+    // the views can reach.
     if ((flags & kArenaFlagHasChecksum) == 0) return std::nullopt;
     ArenaChecksum checksum;
     checksum.Absorb(base + kArenaHeaderBytes,
@@ -210,26 +203,6 @@ std::optional<ArenaFile> ArenaFile::Open(const std::string& path,
 
   result.map_ = std::move(*map);
   return result;
-}
-
-std::optional<GraphFingerprint> PeekIndexFingerprint(const std::string& path,
-                                                     uint64_t magic) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  uint64_t got_magic = 0;
-  uint32_t version = 0;
-  GraphFingerprint fp;
-  BinaryReader reader(in);
-  if (!reader.Pod(got_magic) || got_magic != magic) return std::nullopt;
-  if (!reader.Pod(version) ||
-      (version != kIndexFormatVersion && version != kArenaFormatVersion)) {
-    return std::nullopt;
-  }
-  if (!reader.Pod(fp.vertices) || !reader.Pod(fp.edges) ||
-      !reader.Pod(fp.weight_checksum)) {
-    return std::nullopt;
-  }
-  return fp;
 }
 
 }  // namespace fannr

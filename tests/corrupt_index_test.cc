@@ -1,194 +1,182 @@
-// Corrupt, truncated, and wrong-graph index files must be rejected by
-// the Load paths — never crash, never read out of bounds (the ASan CI
-// job runs this file), and never come back as an index that would serve
-// wrong distances.
-//
-// Shared on-disk layout (graph/index_io.h): magic u64 at offset 0,
-// format version u32 at offset 8, graph fingerprint (3 x u64) at offset
-// 12, index body from offset 36. The fixture family below corrupts each
-// region in turn for all three persisted indexes.
+// Corrupt, truncated, stale and wrong-graph files must be rejected by
+// the LoadMmap paths — never crash, never read out of bounds (the ASan
+// CI job runs this file), and never come back as a structure that would
+// serve wrong distances. The fixture family below corrupts each region
+// of the shared layout (graph/index_io.h) in turn for the graph cache
+// and all three persisted indexes.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <sstream>
+#include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "dynamic/update.h"
-#include "graph/graph.h"
-#include "sp/ch/contraction_hierarchy.h"
-#include "sp/gtree/gtree.h"
-#include "sp/label/hub_labels.h"
+#include "index_kinds.h"
 #include "test_util.h"
 
 namespace fannr {
 namespace {
 
-constexpr size_t kVersionOffset = 8;
-constexpr size_t kFingerprintOffset = 12;
-constexpr size_t kBodyOffset = 36;
-
-// One persisted index kind: how to save it and whether a byte stream
-// loads against a given graph. Type-erased so every fixture below runs
-// against all three indexes.
-struct IndexKind {
-  std::string name;
-  std::function<std::string(const Graph&)> save;
-  std::function<bool(const Graph&, const std::string&)> loads;
-};
-
-std::vector<IndexKind> AllIndexKinds() {
-  std::vector<IndexKind> kinds;
-  kinds.push_back(
-      {"HubLabels",
-       [](const Graph& g) {
-         auto labels = HubLabels::Build(g);
-         EXPECT_TRUE(labels.has_value());
-         std::stringstream out;
-         EXPECT_TRUE(labels->Save(out));
-         return out.str();
-       },
-       [](const Graph& g, const std::string& bytes) {
-         std::stringstream in(bytes);
-         return HubLabels::Load(g, in).has_value();
-       }});
-  kinds.push_back(
-      {"GTree",
-       [](const Graph& g) {
-         GTree::Options options;
-         options.leaf_capacity = 16;
-         GTree tree = GTree::Build(g, options);
-         std::stringstream out;
-         EXPECT_TRUE(tree.Save(out));
-         return out.str();
-       },
-       [](const Graph& g, const std::string& bytes) {
-         std::stringstream in(bytes);
-         return GTree::Load(g, in).has_value();
-       }});
-  kinds.push_back(
-      {"ContractionHierarchy",
-       [](const Graph& g) {
-         ContractionHierarchy ch = ContractionHierarchy::Build(g);
-         std::stringstream out;
-         EXPECT_TRUE(ch.Save(out));
-         return out.str();
-       },
-       [](const Graph& g, const std::string& bytes) {
-         std::stringstream in(bytes);
-         return ContractionHierarchy::Load(g, in).has_value();
-       }});
-  return kinds;
-}
+using testing::AllIndexKinds;
+using testing::IndexKind;
+using testing::kFingerprintOffset;
+using testing::kHeaderBytes;
+using testing::kVersionOffset;
+using testing::ReadFileBytes;
+using testing::TempPath;
+using testing::WriteFileBytes;
 
 class CorruptIndexTest : public ::testing::Test {
  protected:
+  // Saves `kind` for `graph`, applies `mutate` to the file's bytes and
+  // reports whether the result still loads against `graph`.
+  template <typename Mutate>
+  bool LoadsAfter(const IndexKind& kind, const Mutate& mutate,
+                  ArenaValidation validation = ArenaValidation::kHeaderOnly) {
+    const std::string path = TempPath(kind.name);
+    EXPECT_TRUE(kind.save(graph_, path)) << kind.name;
+    std::string bytes = ReadFileBytes(path);
+    mutate(bytes);
+    WriteFileBytes(path, bytes);
+    return kind.loads(graph_, path, validation);
+  }
+
   Graph graph_ = testing::MakeRandomNetwork(200, 51);
 };
 
 TEST_F(CorruptIndexTest, IntactFileLoads) {
   for (const IndexKind& kind : AllIndexKinds()) {
-    const std::string bytes = kind.save(graph_);
-    ASSERT_GT(bytes.size(), kBodyOffset) << kind.name;
-    EXPECT_TRUE(kind.loads(graph_, bytes)) << kind.name;
+    for (const ArenaValidation validation :
+         {ArenaValidation::kHeaderOnly, ArenaValidation::kFull}) {
+      EXPECT_TRUE(LoadsAfter(kind, [](std::string&) {}, validation))
+          << kind.name;
+    }
   }
 }
 
 TEST_F(CorruptIndexTest, BitFlippedMagicRejected) {
   for (const IndexKind& kind : AllIndexKinds()) {
-    std::string bytes = kind.save(graph_);
-    bytes[0] ^= 0x01;
-    EXPECT_FALSE(kind.loads(graph_, bytes)) << kind.name;
+    EXPECT_FALSE(LoadsAfter(kind, [](std::string& b) { b[0] ^= 0x01; }))
+        << kind.name;
   }
 }
 
 TEST_F(CorruptIndexTest, StaleFormatVersionRejected) {
+  // Version 1 is the pre-fingerprint stream format and 2 the fingerprinted
+  // one: both put their version word (or, for v1, a size word) where this
+  // format keeps its own, so a file left over from either is rejected
+  // and rebuilt, never misread.
   for (const IndexKind& kind : AllIndexKinds()) {
-    std::string bytes = kind.save(graph_);
-    // Rewrite the version word to 1 (the pre-fingerprint format).
-    bytes[kVersionOffset] = 1;
-    bytes[kVersionOffset + 1] = 0;
-    bytes[kVersionOffset + 2] = 0;
-    bytes[kVersionOffset + 3] = 0;
-    EXPECT_FALSE(kind.loads(graph_, bytes)) << kind.name;
+    for (const uint32_t version : {1u, 2u}) {
+      EXPECT_FALSE(LoadsAfter(kind, [version](std::string& b) {
+        std::memcpy(b.data() + kVersionOffset, &version, sizeof(version));
+      })) << kind.name << " version " << version;
+    }
   }
 }
 
 TEST_F(CorruptIndexTest, TruncatedFileRejected) {
   for (const IndexKind& kind : AllIndexKinds()) {
-    const std::string bytes = kind.save(graph_);
+    const std::string path = TempPath(kind.name);
+    ASSERT_TRUE(kind.save(graph_, path));
+    const std::string clean = ReadFileBytes(path);
+    ASSERT_GT(clean.size(), kHeaderBytes) << kind.name;
     // Cut inside the header, just after it, and mid-body: every prefix
-    // must be rejected (a truncated vec may not over-allocate either —
-    // see serialize_test's VecAllocationBoundedByStreamLength).
-    for (size_t keep : {size_t{4}, kBodyOffset - 2, kBodyOffset + 6,
-                        bytes.size() / 2, bytes.size() - 1}) {
-      EXPECT_FALSE(kind.loads(graph_, bytes.substr(0, keep)))
+    // must be rejected.
+    for (size_t keep : {size_t{0}, size_t{4}, kHeaderBytes - 1,
+                        kHeaderBytes + 8, clean.size() / 3, clean.size() / 2,
+                        clean.size() - 1}) {
+      WriteFileBytes(path, clean.substr(0, keep));
+      EXPECT_FALSE(kind.loads(graph_, path))
           << kind.name << " truncated to " << keep << " bytes";
     }
+    // A short file that is not one of ours at all.
+    WriteFileBytes(path, "dimacs? never heard of it");
+    EXPECT_FALSE(kind.loads(graph_, path)) << kind.name << " garbage";
   }
 }
 
 TEST_F(CorruptIndexTest, FingerprintMismatchRejected) {
+  // Both checks read only the 64-byte header, never the payload.
   Graph other = testing::MakeRandomNetwork(150, 52);
   for (const IndexKind& kind : AllIndexKinds()) {
-    std::string bytes = kind.save(graph_);
+    const std::string path = TempPath(kind.name);
+    ASSERT_TRUE(kind.save(graph_, path));
     // Against a structurally different graph.
-    EXPECT_FALSE(kind.loads(other, bytes)) << kind.name;
+    EXPECT_FALSE(kind.loads(other, path)) << kind.name;
     // A corrupted stored checksum fails against the right graph too.
-    bytes[kFingerprintOffset + 16] ^= 0xFF;
-    EXPECT_FALSE(kind.loads(graph_, bytes)) << kind.name;
+    EXPECT_FALSE(LoadsAfter(kind, [](std::string& b) {
+      b[kFingerprintOffset + 16] ^= 0xFF;
+    })) << kind.name;
   }
 }
 
 TEST_F(CorruptIndexTest, FileFromPreUpdateGraphRejected) {
-  // The dynamic-network case: an index saved before a weight update must
+  // The dynamic-network case: a file saved before a weight update must
   // not load against the updated graph (same topology, new weights).
   for (const IndexKind& kind : AllIndexKinds()) {
     Graph g = testing::MakeRandomNetwork(200, 53);
-    const std::string bytes = kind.save(g);
+    const std::string path = TempPath(kind.name);
+    ASSERT_TRUE(kind.save(g, path));
     dynamic::UpdateBatch batch;
     batch.ScaleWeight(g, 0, g.Neighbors(0).front().to, 2.0);
     batch.Apply(g);
-    EXPECT_FALSE(kind.loads(g, bytes)) << kind.name;
+    EXPECT_FALSE(kind.loads(g, path)) << kind.name;
     // Restoring the weight restores the fingerprint; the file is
     // trustworthy again (weights match bit for bit).
     dynamic::UpdateBatch restore;
     restore.ScaleWeight(g, 0, g.Neighbors(0).front().to, 0.5);
     restore.Apply(g);
-    EXPECT_TRUE(kind.loads(g, bytes)) << kind.name;
+    EXPECT_TRUE(kind.loads(g, path)) << kind.name;
   }
 }
 
 TEST_F(CorruptIndexTest, NonMonotonicHubLabelOffsetsRejected) {
-  auto labels = HubLabels::Build(graph_);
-  ASSERT_TRUE(labels.has_value());
-  std::stringstream out;
-  ASSERT_TRUE(labels->Save(out));
-  std::string bytes = out.str();
-  // Body layout: u64 element count at kBodyOffset, then the offsets
-  // array (offsets_[0] == 0 at kBodyOffset + 8). Blow up offsets_[1] so
-  // the prefix array decreases at the next element; Distance() would
-  // index entries_ out of bounds if Load accepted this.
-  const size_t offset1 = kBodyOffset + 16;
-  ASSERT_LT(offset1 + 8, bytes.size());
-  for (size_t b = 0; b < 8; ++b) bytes[offset1 + b] = '\x7f';
-  std::stringstream in(bytes);
-  EXPECT_FALSE(HubLabels::Load(graph_, in).has_value());
+  // Section 0 of a hub-label file is the per-vertex offsets array; its
+  // file offset is the first word of the section table. Blow up
+  // offsets_[1] so the prefix array decreases at the next element:
+  // Distance() would index entries_ out of bounds if LoadMmap accepted
+  // this.
+  const std::vector<IndexKind> kinds = AllIndexKinds();
+  const IndexKind& labels = kinds[1];
+  ASSERT_EQ(labels.name, "HubLabels");
+  EXPECT_FALSE(LoadsAfter(labels, [](std::string& b) {
+    uint64_t section0 = 0;
+    std::memcpy(&section0, b.data() + kHeaderBytes, sizeof(section0));
+    const size_t offset1 = section0 + sizeof(size_t);
+    ASSERT_LT(offset1 + 8, b.size());
+    for (size_t i = 0; i < 8; ++i) b[offset1 + i] = '\x7f';
+  }));
 }
 
 TEST_F(CorruptIndexTest, SingleByteCorruptionNeverCrashes) {
   // Sweep a single-byte flip across each file. Most positions must be
-  // rejected (header or structure damage); some payload flips survive
-  // validation — the contract here is "no crash, no sanitizer finding",
-  // which the ASan CI job turns into a hard failure.
+  // rejected (header or structure damage); payload flips are invisible
+  // to the O(header) open and may load. The contract here is "no crash,
+  // no sanitizer finding" (the ASan CI job turns one into a hard
+  // failure), so every survivor is queried too: its answers may be
+  // wrong, its reads must stay in bounds.
+  Rng rng(0xC0DEu);
+  const VertexId n = static_cast<VertexId>(graph_.NumVertices());
   for (const IndexKind& kind : AllIndexKinds()) {
-    const std::string clean = kind.save(graph_);
-    for (size_t pos = 0; pos < clean.size();
-         pos += 1 + pos / 7) {  // dense early (header), sparser in body
+    const std::string path = TempPath(kind.name);
+    ASSERT_TRUE(kind.save(graph_, path));
+    const std::string clean = ReadFileBytes(path);
+    // Dense early (header and table), sparser in the body.
+    for (size_t pos = 0; pos < clean.size(); pos += 1 + pos / 7) {
       std::string bytes = clean;
       bytes[pos] ^= 0x40;
-      (void)kind.loads(graph_, bytes);
+      WriteFileBytes(path, bytes);
+      const testing::DistanceOracle survivor =
+          kind.open(graph_, path, ArenaValidation::kHeaderOnly);
+      if (!survivor) continue;
+      for (int i = 0; i < 4; ++i) {
+        (void)survivor(static_cast<VertexId>(rng.NextBounded(n)),
+                       static_cast<VertexId>(rng.NextBounded(n)));
+      }
     }
   }
 }

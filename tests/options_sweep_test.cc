@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -166,30 +165,6 @@ TEST(ClusteredWorkloadTest, AllAlgorithmsExactOnClusteredQ) {
     const RTree p_tree = BuildDataPointRTree(g, p);
     EXPECT_NEAR(SolveIer(query, *engine, p_tree).distance, optimal, 1e-6);
   }
-}
-
-TEST(SerializeRobustnessTest, GTreeLoadRejectsTruncatedStream) {
-  Graph g = testing::MakeRandomNetwork(200, 811);
-  GTree::Options options;
-  options.leaf_capacity = 16;
-  GTree tree = GTree::Build(g, options);
-  std::stringstream full;
-  ASSERT_TRUE(tree.Save(full));
-  const std::string bytes = full.str();
-  for (size_t cut : {size_t{4}, bytes.size() / 2, bytes.size() - 3}) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(GTree::Load(g, truncated).has_value()) << "cut " << cut;
-  }
-}
-
-TEST(SerializeRobustnessTest, ChLoadRejectsTruncatedStream) {
-  Graph g = testing::MakeRandomNetwork(150, 812);
-  ContractionHierarchy ch = ContractionHierarchy::Build(g);
-  std::stringstream full;
-  ASSERT_TRUE(ch.Save(full));
-  const std::string bytes = full.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(ContractionHierarchy::Load(g, truncated).has_value());
 }
 
 }  // namespace
