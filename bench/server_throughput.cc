@@ -19,284 +19,44 @@
 //   * a pipelined differential — the pipelined path's answers compared
 //     bitwise (status, vertex id, distance bits, work counters, error
 //     text) against an in-process BatchQueryEngine run of the same
-//     queries, before and after a weight wave (gated: zero mismatches);
+//     queries, before and after a weight wave (gated: zero mismatches;
+//     a mismatch also makes the process exit nonzero);
 //   * an overload cell — a deliberately tiny admission queue behind a
 //     slowed executor, hammered by 8 connections, to demonstrate
 //     explicit OVERLOADED shedding (the CI gate requires a nonzero count);
-//   * a drain cell — a SHUTDOWN frame races queued work; the DrainStats
-//     must come back within the drain deadline.
+//   * a drain cell — a SHUTDOWN frame lands on work queued behind a
+//     slowed executor; the drain must execute or abort that work (gated:
+//     a nonzero item count) and report within the drain deadline.
 //
-// Output: a table on stdout plus BENCH_server.json (FANNR_OUT_DIR or the
-// working directory), gated in CI by scripts/check_server_json.py.
-//
-// Environment: FANNR_DATASET (preset name, default TEST),
-// FANNR_SERVER_QUERIES (queries per connection per cell, default 40),
-// FANNR_SERVER_THREADS (engine worker threads, default 2).
+// Output: a table on stdout plus BENCH_server.json, gated in CI by
+// scripts/check_serving_json.py. The shared harness and its environment
+// (FANNR_DATASET, FANNR_OUT_DIR) are in common/serving.h.
 
 #include <poll.h>
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serving.h"
 #include "common/timer.h"
-#include "dynamic/update.h"
-#include "engine/batch_engine.h"
-#include "fann/fannr.h"
 #include "net/client.h"
 #include "net/iobuf.h"
-#include "net/server.h"
 
 namespace fannr::bench {
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr
-             ? static_cast<size_t>(std::strtoull(value, nullptr, 10))
-             : fallback;
-}
-
-struct Cell {
-  size_t connections = 0;
-  bool waves = false;
-  bool pipelined = false;
-  size_t depth = 1;  ///< In-flight frames per connection (1 = synchronous).
-  double wall_ms = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  size_t ok = 0, rejected = 0, timed_out = 0, resubmitted = 0;
-  size_t waves_applied = 0;
-  uint64_t final_epoch = 0;
-};
-
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t rank = static_cast<size_t>(q * static_cast<double>(
-                                                  sorted.size() - 1));
-  return sorted[rank];
-}
-
-/// Per-connection query stream: every client draws its own workload from
-/// a seed derived from its id, so connections do not send identical
-/// byte streams.
-struct ClientOutcome {
-  std::vector<double> latencies_ms;
-  size_t ok = 0, rejected = 0, timed_out = 0, resubmitted = 0;
-  uint64_t last_epoch = 0;
-  bool transport_error = false;
-  size_t overloaded = 0;
-};
-
-/// One cell query: the kGd/kSum workload every driver (synchronous and
-/// pipelined) draws, so cells differ only in how the wire is driven.
-/// Small (4 query points): the cells measure the serving path — dispatch,
-/// framing, scheduling — not solver asymptotics, which the solver benches
-/// own. A small query is also the regime where pipelining matters: when
-/// per-query engine compute dominates, no wire discipline can help.
-net::WireQuery MakeQuery(const Graph& graph,
-                         const std::vector<uint32_t>& p_ids, Rng& rng) {
-  net::WireQuery query;
-  query.algorithm = static_cast<uint8_t>(FannAlgorithm::kGd);
-  query.aggregate = static_cast<uint8_t>(Aggregate::kSum);
-  query.phi = 0.5;
-  query.p = p_ids;
-  const std::vector<VertexId> q_ids =
-      GenerateUniformQueryPoints(graph, 0.10, 4, rng);
-  query.q = std::vector<uint32_t>(q_ids.begin(), q_ids.end());
-  return query;
-}
-
-/// Pre-draws every connection's query stream (seeded per connection, so
-/// connections do not send identical byte streams). Generation runs
-/// before each cell's wall timer: the cells measure the serving path,
-/// not client-side workload synthesis, which costs more per query than
-/// the server does and would otherwise mask any serving-side change.
-std::vector<std::vector<net::WireQuery>> MakeWorkload(
-    const Graph& graph, const std::vector<uint32_t>& p_ids,
-    size_t connections, size_t queries_per_conn) {
-  std::vector<std::vector<net::WireQuery>> workload(connections);
-  for (size_t c = 0; c < connections; ++c) {
-    Rng rng(0x5EED5000u + c);
-    workload[c].reserve(queries_per_conn);
-    for (size_t i = 0; i < queries_per_conn; ++i) {
-      workload[c].push_back(MakeQuery(graph, p_ids, rng));
-    }
-  }
-  return workload;
-}
-
-/// Applies congestion waves through a dedicated updater connection until
-/// told to stop (shared by the synchronous and pipelined wave cells).
-std::thread StartWaveThread(const Graph& client_graph, uint16_t port,
-                            std::atomic<bool>& stop,
-                            std::atomic<size_t>& applied) {
-  return std::thread([&client_graph, port, &stop, &applied] {
-    net::FannClient updater;
-    if (!updater.Connect("127.0.0.1", port)) return;
-    Rng wave_rng(0xCA11AB1Eu);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const dynamic::UpdateBatch wave = dynamic::MakeCongestionWave(
-          client_graph, 0.02, 0.5, 3.0, wave_rng);
-      net::UpdateWeightsRequest request;
-      for (const EdgeWeightUpdate& u : wave.updates()) {
-        request.entries.push_back({u.u, u.v, u.new_weight});
-      }
-      net::UpdateWeightsResponse response;
-      if (!updater.UpdateWeights(request, response)) return;
-      if (response.status == 0) {
-        applied.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  });
-}
-
-ClientOutcome DriveClient(uint16_t port,
-                          const std::vector<net::WireQuery>& queries,
-                          bool retry_overloaded) {
-  ClientOutcome outcome;
-  net::FannClient client;
-  if (!client.Connect("127.0.0.1", port)) {
-    outcome.transport_error = true;
-    return outcome;
-  }
-  for (const net::WireQuery& query : queries) {
-    Timer t;
-    net::QueryResponse response;
-    bool sent = client.Query(query, response);
-    if (!sent && client.last_error_code() == net::ErrorCode::kOverloaded) {
-      ++outcome.overloaded;
-      if (!retry_overloaded) continue;
-      // Brief backoff, then one retry so the cell still measures real
-      // completions under pressure.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      sent = client.Query(query, response);
-      if (!sent && client.last_error_code() == net::ErrorCode::kOverloaded) {
-        ++outcome.overloaded;
-        continue;
-      }
-    }
-    if (!sent) {
-      outcome.transport_error = true;
-      return outcome;
-    }
-    if (response.result.status ==
-        static_cast<uint8_t>(QueryStatus::kRejected)) {
-      // Stale admission epoch (an update landed in between): re-submit
-      // once, per the contract.
-      ++outcome.rejected;
-      ++outcome.resubmitted;
-      if (!client.Query(query, response)) {
-        outcome.transport_error = true;
-        return outcome;
-      }
-    }
-    outcome.latencies_ms.push_back(t.Millis());
-    switch (static_cast<QueryStatus>(response.result.status)) {
-      case QueryStatus::kOk:
-        ++outcome.ok;
-        break;
-      case QueryStatus::kRejected:
-        ++outcome.rejected;
-        break;
-      case QueryStatus::kTimedOut:
-        ++outcome.timed_out;
-        break;
-    }
-    outcome.last_epoch = response.graph_epoch;
-  }
-  return outcome;
-}
-
-/// Runs one steady/wave cell against a fresh server.
-Cell RunCell(const std::string& dataset, size_t connections, bool waves,
-             size_t queries_per_conn, size_t engine_threads) {
-  // The server owns a mutable copy (UPDATE_WEIGHTS mutates it); clients
-  // share a pristine copy for workload generation only.
-  Graph server_graph = BuildPreset(dataset);
-  const Graph client_graph = BuildPreset(dataset);
-
-  GphiResources resources;
-  resources.graph = &server_graph;
-  net::ServerConfig config;
-  config.engine_options.num_threads = engine_threads;
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
-  const std::vector<std::vector<net::WireQuery>> workload =
-      MakeWorkload(client_graph, p_ids, connections, queries_per_conn);
-
-  std::atomic<bool> stop_waves{false};
-  std::atomic<size_t> waves_applied{0};
-  std::thread wave_thread;
-  if (waves) {
-    wave_thread = StartWaveThread(client_graph, port, stop_waves,
-                                  waves_applied);
-  }
-
-  std::vector<ClientOutcome> outcomes(connections);
-  Timer wall;
-  {
-    std::vector<std::thread> drivers;
-    for (size_t c = 0; c < connections; ++c) {
-      drivers.emplace_back([&, c] {
-        outcomes[c] = DriveClient(port, workload[c],
-                                  /*retry_overloaded=*/true);
-      });
-    }
-    for (std::thread& t : drivers) t.join();
-  }
-  const double wall_ms = wall.Millis();
-
-  if (waves) {
-    stop_waves.store(true, std::memory_order_relaxed);
-    wave_thread.join();
-  }
-  net::FannClient admin;
-  FANNR_CHECK(admin.Connect("127.0.0.1", port) && admin.Shutdown());
-  server.Wait();
-
-  Cell cell;
-  cell.connections = connections;
-  cell.waves = waves;
-  cell.wall_ms = wall_ms;
-  cell.waves_applied = waves_applied.load(std::memory_order_relaxed);
-  std::vector<double> latencies;
-  for (const ClientOutcome& o : outcomes) {
-    FANNR_CHECK(!o.transport_error);
-    cell.ok += o.ok;
-    cell.rejected += o.rejected;
-    cell.timed_out += o.timed_out;
-    cell.resubmitted += o.resubmitted;
-    cell.final_epoch = std::max(cell.final_epoch, o.last_epoch);
-    latencies.insert(latencies.end(), o.latencies_ms.begin(),
-                     o.latencies_ms.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  cell.p50_ms = Percentile(latencies, 0.50);
-  cell.p95_ms = Percentile(latencies, 0.95);
-  cell.p99_ms = Percentile(latencies, 0.99);
-  cell.qps = 1000.0 * static_cast<double>(cell.ok) / wall_ms;
-  return cell;
-}
+constexpr size_t kQueriesPerConn = 40;
+constexpr uint32_t kWorkloadSeed = 0x5EED5000u;
+constexpr std::chrono::milliseconds kWavePeriod{10};
 
 /// One nonblocking connection in the pipelined driver: an outbound byte
 /// queue, an inbound byte queue cut into frames incrementally, and the
@@ -314,8 +74,7 @@ struct PipeConn {
   std::map<uint64_t, InFlight> inflight;
   const std::vector<net::WireQuery>* queries = nullptr;  ///< Pre-drawn.
   uint64_t next_id = 1;
-  size_t issued = 0;     ///< Queries submitted so far.
-  size_t completed = 0;  ///< Final responses recorded.
+  size_t issued = 0;  ///< Queries submitted so far.
   bool failed = false;
   bool finished = false;
 
@@ -369,22 +128,18 @@ void HandleResponseFrame(PipeConn& conn, const net::FrameHeader& header,
       return;
     }
     ++outcome.overloaded;
+    // One retry, like the synchronous driver (minus its backoff — a
+    // sleep here would stall every other connection on this loop). Shed
+    // twice, the query is dropped and counted only as overload.
     if (!it->second.resubmitted) {
-      // One retry, like the synchronous driver (minus its backoff — a
-      // sleep here would stall every other connection on this loop).
       SubmitQuery(conn, it->second.query, it->second.timer, true);
-    } else {
-      ++conn.completed;  // shed twice: dropped, counted only as overload
     }
     conn.inflight.erase(it);
     return;
   }
-  if (header.opcode != static_cast<uint16_t>(net::Opcode::kQueryResult)) {
-    conn.failed = true;
-    return;
-  }
   net::QueryResponse response;
-  if (!net::DecodeQueryResponse(payload, response)) {
+  if (header.opcode != static_cast<uint16_t>(net::Opcode::kQueryResult) ||
+      !net::DecodeQueryResponse(payload, response)) {
     conn.failed = true;
     return;
   }
@@ -398,20 +153,7 @@ void HandleResponseFrame(PipeConn& conn, const net::FrameHeader& header,
     conn.inflight.erase(it);
     return;
   }
-  outcome.latencies_ms.push_back(it->second.timer.Millis());
-  switch (status) {
-    case QueryStatus::kOk:
-      ++outcome.ok;
-      break;
-    case QueryStatus::kRejected:
-      ++outcome.rejected;
-      break;
-    case QueryStatus::kTimedOut:
-      ++outcome.timed_out;
-      break;
-  }
-  outcome.last_epoch = response.graph_epoch;
-  ++conn.completed;
+  outcome.Record(response, it->second.timer.Millis());
   conn.inflight.erase(it);
 }
 
@@ -423,13 +165,10 @@ size_t ClampConnectionsToFdLimit(size_t connections) {
   rlimit limit{};
   if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return connections;
   const rlim_t needed = 2 * static_cast<rlim_t>(connections) + 128;
-  if (limit.rlim_cur < needed &&
-      (limit.rlim_max == RLIM_INFINITY || limit.rlim_max >= needed)) {
-    rlimit raised = limit;
-    raised.rlim_cur = needed;
-    if (::setrlimit(RLIMIT_NOFILE, &raised) == 0) return connections;
-  }
   if (limit.rlim_cur >= needed) return connections;
+  rlimit raised = limit;
+  raised.rlim_cur = needed;  // refused (EINVAL) above the hard limit
+  if (::setrlimit(RLIMIT_NOFILE, &raised) == 0) return connections;
   const size_t fit = limit.rlim_cur > 192
                          ? (static_cast<size_t>(limit.rlim_cur) - 128) / 2
                          : 32;
@@ -443,48 +182,31 @@ size_t ClampConnectionsToFdLimit(size_t connections) {
 
 /// Runs one pipelined cell: `connections` nonblocking sockets driven by
 /// a single poll(2) loop, each keeping up to `depth` frames in flight.
-Cell RunPipelinedCell(const std::string& dataset, size_t connections,
-                      bool waves, size_t queries_per_conn, size_t depth,
-                      size_t engine_threads) {
+LoadCell RunPipelinedCell(const std::string& dataset,
+                          const Graph& client_graph,
+                          const std::vector<uint32_t>& p_ids,
+                          size_t connections, bool waves,
+                          size_t queries_per_conn, size_t depth) {
   connections = ClampConnectionsToFdLimit(connections);
-  Graph server_graph = BuildPreset(dataset);
-  const Graph client_graph = BuildPreset(dataset);
-
-  GphiResources resources;
-  resources.graph = &server_graph;
-  net::ServerConfig config;
-  config.engine_options.num_threads = engine_threads;
   // The point of the cell is pipelining pressure, not admission-queue
   // shedding (the overload cell covers that): size connection and queue
   // limits to the offered load.
+  net::ServerConfig config = ServingConfig();
   config.max_connections = connections + 8;
   config.max_queue_depth = connections * depth + 64;
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
+  ServerNode node(dataset, std::move(config));
+  const std::vector<std::vector<net::WireQuery>> workload = MakeWorkload(
+      client_graph, p_ids, connections, queries_per_conn, kWorkloadSeed);
 
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
-  const std::vector<std::vector<net::WireQuery>> workload =
-      MakeWorkload(client_graph, p_ids, connections, queries_per_conn);
-
-  std::atomic<bool> stop_waves{false};
-  std::atomic<size_t> waves_applied{0};
-  std::thread wave_thread;
-  if (waves) {
-    wave_thread = StartWaveThread(client_graph, port, stop_waves,
-                                  waves_applied);
-  }
+  std::optional<WaveThread> wave_thread;
+  if (waves) wave_thread.emplace(client_graph, node.port(), kWavePeriod);
 
   std::vector<std::unique_ptr<PipeConn>> conns;
   conns.reserve(connections);
   for (size_t c = 0; c < connections; ++c) {
     auto conn = std::make_unique<PipeConn>();
     std::string connect_error;
-    conn->sock = net::TcpConnect("127.0.0.1", port, &connect_error);
+    conn->sock = net::TcpConnect("127.0.0.1", node.port(), &connect_error);
     FANNR_CHECK(conn->sock.valid());
     FANNR_CHECK(conn->sock.SetNonBlocking());
     conn->queries = &workload[c];
@@ -569,396 +291,191 @@ Cell RunPipelinedCell(const std::string& dataset, size_t connections,
   }
   const double wall_ms = wall.Millis();
 
-  if (waves) {
-    stop_waves.store(true, std::memory_order_relaxed);
-    wave_thread.join();
-  }
+  LoadCell cell{.connections = connections,
+                .waves = waves,
+                .pipelined = true,
+                .depth = depth};
+  if (wave_thread) cell.waves_applied = wave_thread->Stop();
   for (std::unique_ptr<PipeConn>& conn : conns) {
     FANNR_CHECK(!conn->failed);
     conn->sock.Close();
   }
-  net::FannClient admin;
-  FANNR_CHECK(admin.Connect("127.0.0.1", port) && admin.Shutdown());
-  server.Wait();
-
-  Cell cell;
-  cell.connections = connections;
-  cell.waves = waves;
-  cell.pipelined = true;
-  cell.depth = depth;
-  cell.wall_ms = wall_ms;
-  cell.waves_applied = waves_applied.load(std::memory_order_relaxed);
-  std::vector<double> latencies;
-  for (const ClientOutcome& o : outcomes) {
-    cell.ok += o.ok;
-    cell.rejected += o.rejected;
-    cell.timed_out += o.timed_out;
-    cell.resubmitted += o.resubmitted;
-    cell.final_epoch = std::max(cell.final_epoch, o.last_epoch);
-    latencies.insert(latencies.end(), o.latencies_ms.begin(),
-                     o.latencies_ms.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  cell.p50_ms = Percentile(latencies, 0.50);
-  cell.p95_ms = Percentile(latencies, 0.95);
-  cell.p99_ms = Percentile(latencies, 0.99);
-  cell.qps = 1000.0 * static_cast<double>(cell.ok) / wall_ms;
+  cell.Summarize(outcomes, wall_ms);
   return cell;
 }
 
-struct DifferentialOutcome {
-  size_t queries = 0;
-  size_t mismatches = 0;
-};
-
-/// Compares pipelined wire answers bitwise against an in-process
-/// BatchQueryEngine run of the same queries — the bench-level echo of
-/// tests/net_loopback_differential_test.cc, gated in CI via the JSON.
-/// Phase 1 runs at epoch 0; a congestion wave is then applied to both
-/// sides and phase 2 repeats the comparison at epoch 1.
-DifferentialOutcome RunPipelinedDifferential(const std::string& dataset,
-                                             size_t engine_threads) {
-  Graph server_graph = BuildPreset(dataset);
-  Graph ref_graph = BuildPreset(dataset);
-  const Graph client_graph = BuildPreset(dataset);
-
-  GphiResources resources;
-  resources.graph = &server_graph;
-  net::ServerConfig config;
-  config.engine_options.num_threads = engine_threads;
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
-
-  GphiResources ref_resources;
-  ref_resources.graph = &ref_graph;
-  BatchOptions ref_options;
-  ref_options.num_threads = engine_threads;
-  BatchQueryEngine reference(ref_resources, ref_options);
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
-  Rng q_rng(0xD1FF0001u);
-  std::vector<net::WireQuery> jobs;
-  for (size_t i = 0; i < 24; ++i) {
-    jobs.push_back(MakeQuery(client_graph, p_ids, q_rng));
+/// The pipelined side of the differential: every frame on the wire
+/// before any response is read. The server is free to merge the frames
+/// into whatever bursts it likes; per-job answers must not depend on
+/// batch composition.
+std::vector<std::optional<net::QueryResponse>> AnswerPipelined(
+    uint16_t port, const std::vector<net::WireQuery>& jobs, uint64_t epoch) {
+  std::string connect_error;
+  net::Socket sock = net::TcpConnect("127.0.0.1", port, &connect_error);
+  FANNR_CHECK(sock.valid());
+  const uint64_t first_id = epoch * 1000;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    net::QueryRequest request;
+    request.query = jobs[i];
+    const std::vector<uint8_t> frame = net::EncodeFrame(
+        static_cast<uint16_t>(net::Opcode::kQuery), first_id + i,
+        net::EncodeQueryRequest(request));
+    FANNR_CHECK(sock.WriteFull(frame.data(), frame.size()));
   }
-
-  DifferentialOutcome outcome;
-  const auto run_phase = [&](uint64_t expected_epoch) {
-    // In-process reference: one Run over all jobs. The server is free to
-    // merge the pipelined frames into whatever bursts it likes — per-job
-    // answers must not depend on batch composition.
-    std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-    std::vector<FannrQuery> batch;
-    for (const net::WireQuery& wire : jobs) {
-      auto p = std::make_unique<IndexedVertexSet>(
-          ref_graph.NumVertices(),
-          std::vector<VertexId>(wire.p.begin(), wire.p.end()));
-      auto q = std::make_unique<IndexedVertexSet>(
-          ref_graph.NumVertices(),
-          std::vector<VertexId>(wire.q.begin(), wire.q.end()));
-      FannrQuery job;
-      job.query.graph = &ref_graph;
-      job.query.data_points = p.get();
-      job.query.query_points = q.get();
-      job.query.phi = wire.phi;
-      job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-      job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-      sets.push_back(std::move(p));
-      sets.push_back(std::move(q));
-      batch.push_back(job);
-    }
-    const std::vector<FannResult> results = reference.Run(batch);
-    std::vector<net::WireResult> expected;
-    expected.reserve(results.size());
-    for (const FannResult& r : results) expected.push_back(net::ToWire(r));
-
-    // Pipelined: all frames on the wire before any response is read.
-    std::string connect_error;
-    net::Socket sock = net::TcpConnect("127.0.0.1", port, &connect_error);
-    FANNR_CHECK(sock.valid());
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      net::QueryRequest request;
-      request.query = jobs[i];
-      const std::vector<uint8_t> frame = net::EncodeFrame(
-          static_cast<uint16_t>(net::Opcode::kQuery), expected_epoch * 1000 + i,
-          net::EncodeQueryRequest(request));
-      FANNR_CHECK(sock.WriteFull(frame.data(), frame.size()));
-    }
-    std::map<uint64_t, net::WireResult> by_id;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      uint8_t header_bytes[net::kFrameHeaderBytes];
-      FANNR_CHECK(sock.ReadFull(header_bytes, sizeof(header_bytes)));
-      net::FrameHeader header;
-      net::DecodeFrameHeader(header_bytes, header);
-      FANNR_CHECK(header.opcode ==
-                  static_cast<uint16_t>(net::Opcode::kQueryResult));
-      std::vector<uint8_t> payload(header.payload_length);
-      if (!payload.empty()) {
-        FANNR_CHECK(sock.ReadFull(payload.data(), payload.size()));
-      }
-      net::QueryResponse response;
-      FANNR_CHECK(net::DecodeQueryResponse(payload, response));
-      FANNR_CHECK(response.graph_epoch == expected_epoch);
-      by_id.emplace(header.request_id, response.result);
-    }
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      ++outcome.queries;
-      const auto it = by_id.find(expected_epoch * 1000 + i);
-      if (it == by_id.end()) {
-        ++outcome.mismatches;
-        continue;
-      }
-      const net::WireResult& got = it->second;
-      const net::WireResult& want = expected[i];
-      const bool equal =
-          got.status == want.status && got.best == want.best &&
-          std::memcmp(&got.distance, &want.distance,
-                      sizeof(got.distance)) == 0 &&
-          got.gphi_evaluations == want.gphi_evaluations &&
-          got.subset == want.subset && got.error == want.error;
-      if (!equal) ++outcome.mismatches;
-    }
-  };
-
-  run_phase(0);
-
-  // The same wave on both sides: over the wire to the server, in-process
-  // to the reference graph.
-  Rng wave_rng(0xCA11AB1Eu);
-  const dynamic::UpdateBatch wave =
-      dynamic::MakeCongestionWave(client_graph, 0.02, 0.5, 3.0, wave_rng);
-  {
-    net::FannClient updater;
-    FANNR_CHECK(updater.Connect("127.0.0.1", port));
-    net::UpdateWeightsRequest request;
-    for (const EdgeWeightUpdate& u : wave.updates()) {
-      request.entries.push_back({u.u, u.v, u.new_weight});
-    }
-    net::UpdateWeightsResponse applied;
-    FANNR_CHECK(updater.UpdateWeights(request, applied));
-    FANNR_CHECK(applied.status == 0);
+  std::vector<std::optional<net::QueryResponse>> answers(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    uint8_t header_bytes[net::kFrameHeaderBytes];
+    FANNR_CHECK(sock.ReadFull(header_bytes, sizeof(header_bytes)));
+    net::FrameHeader header;
+    net::DecodeFrameHeader(header_bytes, header);
+    FANNR_CHECK(header.opcode ==
+                static_cast<uint16_t>(net::Opcode::kQueryResult));
+    std::vector<uint8_t> payload(header.payload_length);
+    FANNR_CHECK(payload.empty() ||
+                sock.ReadFull(payload.data(), payload.size()));
+    net::QueryResponse response;
+    FANNR_CHECK(net::DecodeQueryResponse(payload, response));
+    const uint64_t slot = header.request_id - first_id;
+    if (slot < answers.size()) answers[slot] = response;
   }
-  const dynamic::ApplyResult applied = wave.Apply(ref_graph);
-  FANNR_CHECK(applied.new_epoch == 1);
-
-  run_phase(1);
-
-  net::FannClient admin;
-  FANNR_CHECK(admin.Connect("127.0.0.1", port) && admin.Shutdown());
-  server.Wait();
-  return outcome;
+  return answers;
 }
 
-struct OverloadResult {
-  size_t overloaded = 0;
-  size_t ok = 0;
-};
-
-/// Saturates a deliberately tiny admission queue behind a slowed
-/// executor to force explicit shedding.
-OverloadResult RunOverload(const std::string& dataset,
-                           size_t queries_per_conn) {
-  Graph server_graph = BuildPreset(dataset);
-  const Graph client_graph = BuildPreset(dataset);
-  GphiResources resources;
-  resources.graph = &server_graph;
+/// One engine thread behind an executor slowed to 3 ms per item, so
+/// work queues up.
+net::ServerConfig SlowedConfig() {
   net::ServerConfig config;
   config.engine_options.num_threads = 1;
-  config.max_queue_depth = 2;
   config.test_execution_gate = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
   };
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
-
-  const size_t connections = 8;
-  const std::vector<std::vector<net::WireQuery>> workload =
-      MakeWorkload(client_graph, p_ids, connections, queries_per_conn);
-  std::vector<ClientOutcome> outcomes(connections);
-  {
-    std::vector<std::thread> drivers;
-    for (size_t c = 0; c < connections; ++c) {
-      drivers.emplace_back([&, c] {
-        outcomes[c] = DriveClient(port, workload[c],
-                                  /*retry_overloaded=*/false);
-      });
-    }
-    for (std::thread& t : drivers) t.join();
-  }
-  net::FannClient admin;
-  FANNR_CHECK(admin.Connect("127.0.0.1", port) && admin.Shutdown());
-  server.Wait();
-
-  OverloadResult result;
-  for (const ClientOutcome& o : outcomes) {
-    FANNR_CHECK(!o.transport_error);
-    result.overloaded += o.overloaded;
-    result.ok += o.ok;
-  }
-  return result;
+  return config;
 }
 
-/// A SHUTDOWN frame racing in-flight work: the drain must finish the
-/// queued items (or abort them past the deadline) and report on time.
-net::DrainStats RunDrain(const std::string& dataset) {
-  Graph server_graph = BuildPreset(dataset);
-  const Graph client_graph = BuildPreset(dataset);
-  GphiResources resources;
-  resources.graph = &server_graph;
-  net::ServerConfig config;
-  config.engine_options.num_threads = 1;
+/// Saturates a deliberately tiny admission queue behind a slowed
+/// executor to force explicit shedding: 8 connections of 25 queries,
+/// OVERLOADED answers counted and not retried.
+LoadCell RunOverload(const std::string& dataset, const Graph& client_graph,
+                     const std::vector<uint32_t>& p_ids) {
+  net::ServerConfig config = SlowedConfig();
+  config.max_queue_depth = 2;
+  ServerNode node(dataset, std::move(config));
+  return RunLoadCell(node.port(), client_graph,
+                     MakeWorkload(client_graph, p_ids, 8, 25, kWorkloadSeed),
+                     /*waves=*/false, kWavePeriod,
+                     /*retry_overloaded=*/false);
+}
+
+/// A SHUTDOWN frame racing queued work: the executor is slowed so the
+/// frame, sent 20 ms in, lands while 4 clients' queries are still
+/// queued. The drain must finish the queued items (or abort them past
+/// the deadline) and report on time.
+net::DrainStats RunDrain(const std::string& dataset,
+                         const Graph& client_graph,
+                         const std::vector<uint32_t>& p_ids) {
+  net::ServerConfig config = SlowedConfig();
   config.drain_deadline_ms = 10'000.0;
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
+  ServerNode node(dataset, std::move(config));
   const std::vector<std::vector<net::WireQuery>> workload =
-      MakeWorkload(client_graph, p_ids, 4, 10);
-
+      MakeWorkload(client_graph, p_ids, 4, 10, kWorkloadSeed);
   std::vector<std::thread> drivers;
-  for (size_t c = 0; c < 4; ++c) {
+  for (size_t c = 0; c < workload.size(); ++c) {
     drivers.emplace_back([&, c] {
-      DriveClient(port, workload[c], /*retry_overloaded=*/false);
+      DriveClient(node.port(), workload[c], /*retry_overloaded=*/false);
     });
   }
-  // Fire the shutdown while the drivers are mid-stream.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   net::FannClient admin;
-  FANNR_CHECK(admin.Connect("127.0.0.1", port) && admin.Shutdown());
-  const net::DrainStats stats = server.Wait();
+  FANNR_CHECK(admin.Connect("127.0.0.1", node.port()) && admin.Shutdown());
+  const net::DrainStats stats = node.Stop();
   for (std::thread& t : drivers) t.join();
   return stats;
 }
 
 int Main() {
-  const char* dataset_env = std::getenv("FANNR_DATASET");
-  const std::string dataset = dataset_env != nullptr ? dataset_env : "TEST";
-  FANNR_CHECK(IsPresetName(dataset));
-  const size_t queries_per_conn =
-      std::max<size_t>(1, EnvSize("FANNR_SERVER_QUERIES", 40));
-  const size_t engine_threads =
-      std::max<size_t>(1, EnvSize("FANNR_SERVER_THREADS", 2));
+  const std::string dataset = ServingDataset();
+  const Graph client_graph = BuildPreset(dataset);
+  const std::vector<uint32_t> p_ids = ServingDataPoints(client_graph);
 
   std::printf("Server throughput — dataset %s, %zu queries/conn, "
               "%zu engine threads\n",
-              dataset.c_str(), queries_per_conn, engine_threads);
+              dataset.c_str(), kQueriesPerConn, kEngineThreads);
   std::printf("%5s %6s %5s %10s %9s %9s %9s %6s %5s %6s %7s\n", "conns",
               "waves", "depth", "qps", "p50 ms", "p95 ms", "p99 ms", "ok",
               "rej", "t/out", "epochs");
-  const auto print_cell = [](const Cell& cell) {
+  std::vector<JsonObject> rows;
+  const auto report = [&rows](const LoadCell& cell) {
     std::printf(
         "%5zu %6s %5zu %10.1f %9.2f %9.2f %9.2f %6zu %5zu %6zu %7zu\n",
         cell.connections, cell.waves ? "yes" : "no", cell.depth, cell.qps,
         cell.p50_ms, cell.p95_ms, cell.p99_ms, cell.ok, cell.rejected,
         cell.timed_out, static_cast<size_t>(cell.final_epoch));
+    rows.push_back(ToJson(cell));
   };
 
-  std::vector<Cell> cells;
   for (const bool waves : {false, true}) {
     for (const size_t connections : {size_t{1}, size_t{2}, size_t{8}}) {
-      Cell cell = RunCell(dataset, connections, waves, queries_per_conn,
-                          engine_threads);
-      print_cell(cell);
-      cells.push_back(std::move(cell));
+      ServerNode node(dataset);
+      report(RunLoadCell(node.port(), client_graph,
+                         MakeWorkload(client_graph, p_ids, connections,
+                                      kQueriesPerConn, kWorkloadSeed),
+                         waves, kWavePeriod));
     }
   }
 
   // Pipelined cells: the event-loop workload. The 1024-connection cell
   // keeps total queries comparable by shrinking the per-connection
   // stream; its depth is lower so the offered load stays bounded.
-  struct PipelinedSpec {
-    size_t connections;
-    bool waves;
-    size_t queries;
-    size_t depth;
-  };
-  const PipelinedSpec pipelined_specs[] = {
-      {128, false, queries_per_conn, 8},
-      {128, true, queries_per_conn, 8},
-      {1024, false, std::max<size_t>(1, queries_per_conn / 10), 4},
-  };
-  for (const PipelinedSpec& spec : pipelined_specs) {
-    Cell cell = RunPipelinedCell(dataset, spec.connections, spec.waves,
-                                 spec.queries, spec.depth, engine_threads);
-    print_cell(cell);
-    cells.push_back(std::move(cell));
+  for (const bool waves : {false, true}) {
+    report(RunPipelinedCell(dataset, client_graph, p_ids, 128, waves,
+                            kQueriesPerConn, 8));
   }
+  report(RunPipelinedCell(dataset, client_graph, p_ids, 1024, false,
+                          kQueriesPerConn / 10, 4));
 
-  const DifferentialOutcome differential =
-      RunPipelinedDifferential(dataset, engine_threads);
+  DifferentialOutcome differential;
+  {
+    ServerNode node(dataset);
+    differential = RunDifferential(
+        dataset, node.port(), 0xD1FF0001u, 0xCA11AB1Eu, /*with_work=*/true,
+        [&node](const std::vector<net::WireQuery>& jobs, uint64_t epoch) {
+          return AnswerPipelined(node.port(), jobs, epoch);
+        });
+  }
   std::printf("\npipelined differential vs in-process engine: "
               "%zu queries, %zu mismatches\n",
               differential.queries, differential.mismatches);
 
-  const OverloadResult overload = RunOverload(dataset, 25);
+  const LoadCell overload = RunOverload(dataset, client_graph, p_ids);
   std::printf("\noverload (queue depth 2, slowed executor, 8 conns): "
               "%zu OVERLOADED, %zu ok\n",
               overload.overloaded, overload.ok);
 
-  const net::DrainStats drain = RunDrain(dataset);
+  const net::DrainStats drain = RunDrain(dataset, client_graph, p_ids);
   std::printf("drain: %.1f ms, %zu executed, %zu aborted, %s deadline\n",
               drain.drain_ms, drain.drained_items, drain.aborted_items,
               drain.within_deadline ? "within" : "PAST");
 
-  const std::string out_dir = [] {
-    const char* dir = std::getenv("FANNR_OUT_DIR");
-    return std::string(dir != nullptr ? dir : ".");
-  }();
-  const std::string out_path = out_dir + "/BENCH_server.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"dataset\": \"" << dataset << "\",\n"
-      << "  \"queries_per_connection\": " << queries_per_conn << ",\n"
-      << "  \"engine_threads\": " << engine_threads << ",\n"
-      << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    out << "    {\"connections\": " << cell.connections
-        << ", \"waves\": " << (cell.waves ? "true" : "false")
-        << ", \"pipelined\": " << (cell.pipelined ? "true" : "false")
-        << ", \"depth\": " << cell.depth
-        << ", \"qps\": " << cell.qps << ", \"wall_ms\": " << cell.wall_ms
-        << ", \"p50_ms\": " << cell.p50_ms << ", \"p95_ms\": " << cell.p95_ms
-        << ", \"p99_ms\": " << cell.p99_ms << ", \"ok\": " << cell.ok
-        << ", \"rejected\": " << cell.rejected
-        << ", \"timed_out\": " << cell.timed_out
-        << ", \"resubmitted\": " << cell.resubmitted
-        << ", \"waves_applied\": " << cell.waves_applied
-        << ", \"final_epoch\": " << cell.final_epoch << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"pipelined_differential\": {\"queries\": "
-      << differential.queries
-      << ", \"mismatches\": " << differential.mismatches << "},\n"
-      << "  \"overload\": {\"connections\": 8, \"queue_depth\": 2, "
-      << "\"overloaded\": " << overload.overloaded
-      << ", \"ok\": " << overload.ok << "},\n"
-      << "  \"drain\": {\"drain_ms\": " << drain.drain_ms
-      << ", \"drained_items\": " << drain.drained_items
-      << ", \"aborted_items\": " << drain.aborted_items
-      << ", \"within_deadline\": "
-      << (drain.within_deadline ? "true" : "false") << "}\n"
-      << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  WriteBenchJson(
+      "server",
+      BenchJson("server", dataset)
+          .Add("queries_per_connection", kQueriesPerConn)
+          .Add("cells", rows)
+          .Add("pipelined_differential",
+               JsonObject()
+                   .Add("queries", differential.queries)
+                   .Add("mismatches", differential.mismatches))
+          .Add("overload", JsonObject()
+                               .Add("connections", size_t{8})
+                               .Add("queue_depth", size_t{2})
+                               .Add("overloaded", overload.overloaded)
+                               .Add("ok", overload.ok))
+          .Add("drain", JsonObject()
+                            .Add("drain_ms", drain.drain_ms)
+                            .Add("drained_items", drain.drained_items)
+                            .Add("aborted_items", drain.aborted_items)
+                            .Add("within_deadline", drain.within_deadline)));
+  return differential.mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -26,265 +26,63 @@
 //     the cell records how many WAL records were replayed and whether
 //     the fleet answered at the live epoch (gated: recovered == true).
 //
-// Output: a table on stdout plus BENCH_shard.json (FANNR_OUT_DIR or the
-// working directory), gated in CI by scripts/check_shard_json.py.
+// A differential mismatch or an unrecovered catch-up also makes the
+// process exit nonzero.
 //
-// Environment: FANNR_DATASET (preset name, default TEST),
-// FANNR_SHARD_QUERIES (queries per connection per cell, default 30),
-// FANNR_SHARD_THREADS (engine worker threads per server, default 2).
+// Output: a table on stdout plus BENCH_shard.json, gated in CI by
+// scripts/check_serving_json.py. The shared harness and its environment
+// (FANNR_DATASET, FANNR_OUT_DIR) are in common/serving.h.
 
-#include <algorithm>
-#include <atomic>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/timer.h"
-#include "dynamic/update.h"
+#include "common/serving.h"
 #include "dynamic/wal.h"
-#include "engine/batch_engine.h"
-#include "fann/fannr.h"
 #include "net/client.h"
 #include "net/router.h"
-#include "net/server.h"
 #include "net/shard_plan.h"
 
 namespace fannr::bench {
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr
-             ? static_cast<size_t>(std::strtoull(value, nullptr, 10))
-             : fallback;
-}
+constexpr size_t kQueriesPerConn = 30;
+constexpr uint32_t kWorkloadSeed = 0x5AAD0000u;
+constexpr std::chrono::milliseconds kWavePeriod{15};
+constexpr uint32_t kShards = 2;
 
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t rank =
-      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
-
+/// A per-process temporary path, so concurrent runs do not share WALs.
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/fannr_bench_shard_" +
-         name;
+         std::to_string(::getpid()) + "_" + name;
 }
 
-/// One shard server (or the single-node baseline) with its own mutable
-/// graph copy — UPDATE/REPL_APPLY mutates it, so servers cannot share.
-struct ServerNode {
-  explicit ServerNode(const std::string& dataset)
-      : graph(BuildPreset(dataset)) {}
-
-  bool Start(size_t threads, uint16_t port, dynamic::UpdateWal* wal,
-             std::string* error) {
-    resources = GphiResources{};
-    resources.graph = &graph;
-    net::ServerConfig config;
-    config.port = port;
-    config.engine_options.num_threads = threads;
-    config.wal = wal;
-    server = std::make_unique<net::FannServer>(&graph, resources,
-                                               std::move(config));
-    return server->Start(error);
-  }
-
-  void Stop() {
-    if (server == nullptr) return;
-    server->RequestShutdown();
-    server->Wait();
-    server.reset();
-  }
-
-  Graph graph;
-  GphiResources resources;
-  std::unique_ptr<net::FannServer> server;
-};
-
-/// The kGd/kSum serving-path query every cell draws (4 query points:
-/// small on purpose — the cells measure dispatch, fan-out, and merge,
-/// not solver asymptotics, which the solver benches own).
-net::WireQuery MakeQuery(const Graph& graph,
-                         const std::vector<uint32_t>& p_ids, Rng& rng) {
-  net::WireQuery query;
-  query.algorithm = static_cast<uint8_t>(FannAlgorithm::kGd);
-  query.aggregate = static_cast<uint8_t>(Aggregate::kSum);
-  query.phi = 0.5;
-  query.p = p_ids;
-  const std::vector<VertexId> q_ids =
-      GenerateUniformQueryPoints(graph, 0.10, 4, rng);
-  query.q = std::vector<uint32_t>(q_ids.begin(), q_ids.end());
-  return query;
+/// A router config over shards listening on `port0` and `port1`.
+net::RouterConfig FleetConfig(uint16_t port0, uint16_t port1) {
+  net::RouterConfig config;
+  config.shards = {{"127.0.0.1", port0}, {"127.0.0.1", port1}};
+  return config;
 }
 
-std::vector<std::vector<net::WireQuery>> MakeWorkload(
-    const Graph& graph, const std::vector<uint32_t>& p_ids,
-    size_t connections, size_t queries_per_conn) {
-  std::vector<std::vector<net::WireQuery>> workload(connections);
-  for (size_t c = 0; c < connections; ++c) {
-    Rng rng(0x5AAD0000u + c);
-    workload[c].reserve(queries_per_conn);
-    for (size_t i = 0; i < queries_per_conn; ++i) {
-      workload[c].push_back(MakeQuery(graph, p_ids, rng));
-    }
-  }
-  return workload;
-}
-
-struct ClientOutcome {
-  std::vector<double> latencies_ms;
-  size_t ok = 0, rejected = 0, timed_out = 0, resubmitted = 0;
-  uint64_t last_epoch = 0;
-  bool transport_error = false;
-};
-
-ClientOutcome DriveClient(uint16_t port,
-                          const std::vector<net::WireQuery>& queries) {
-  ClientOutcome outcome;
-  net::FannClient client;
-  if (!client.Connect("127.0.0.1", port)) {
-    outcome.transport_error = true;
-    return outcome;
-  }
-  for (const net::WireQuery& query : queries) {
-    Timer t;
-    net::QueryResponse response;
-    if (!client.Query(query, response)) {
-      outcome.transport_error = true;
-      return outcome;
-    }
-    if (response.result.status ==
-        static_cast<uint8_t>(QueryStatus::kRejected)) {
-      // Stale admission epoch (a wave landed in between; against the
-      // router this is the mid-fan-out epoch rejection): re-submit
-      // once, keeping the original timer, per the protocol contract.
-      ++outcome.rejected;
-      ++outcome.resubmitted;
-      if (!client.Query(query, response)) {
-        outcome.transport_error = true;
-        return outcome;
-      }
-    }
-    outcome.latencies_ms.push_back(t.Millis());
-    switch (static_cast<QueryStatus>(response.result.status)) {
-      case QueryStatus::kOk:
-        ++outcome.ok;
-        break;
-      case QueryStatus::kRejected:
-        ++outcome.rejected;
-        break;
-      case QueryStatus::kTimedOut:
-        ++outcome.timed_out;
-        break;
-    }
-    outcome.last_epoch = response.graph_epoch;
-  }
-  return outcome;
-}
-
-std::thread StartWaveThread(const Graph& client_graph, uint16_t port,
-                            std::atomic<bool>& stop,
-                            std::atomic<size_t>& applied) {
-  return std::thread([&client_graph, port, &stop, &applied] {
-    net::FannClient updater;
-    if (!updater.Connect("127.0.0.1", port)) return;
-    Rng wave_rng(0xCA11AB1Eu);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const dynamic::UpdateBatch wave = dynamic::MakeCongestionWave(
-          client_graph, 0.02, 0.5, 3.0, wave_rng);
-      net::UpdateWeightsRequest request;
-      for (const EdgeWeightUpdate& u : wave.updates()) {
-        request.entries.push_back({u.u, u.v, u.new_weight});
-      }
-      net::UpdateWeightsResponse response;
-      if (!updater.UpdateWeights(request, response)) return;
-      if (response.status == 0) {
-        applied.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    }
-  });
-}
-
-struct Cell {
-  std::string mode;  // "single" | "routed"
-  size_t connections = 0;
-  bool waves = false;
-  double wall_ms = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  size_t ok = 0, rejected = 0, timed_out = 0, resubmitted = 0;
-  size_t waves_applied = 0;
-  uint64_t final_epoch = 0;
-};
-
-/// Drives one cell's client threads (and optional wave thread) at
-/// whatever is listening on `port`, single server or router alike — the
-/// point of the router is that clients cannot tell the difference.
-Cell RunCellAt(const std::string& mode, uint16_t port,
-               const Graph& client_graph,
-               const std::vector<std::vector<net::WireQuery>>& workload,
-               bool waves) {
-  std::atomic<bool> stop_waves{false};
-  std::atomic<size_t> waves_applied{0};
-  std::thread wave_thread;
-  if (waves) {
-    wave_thread =
-        StartWaveThread(client_graph, port, stop_waves, waves_applied);
+/// A started 2-shard fleet: two fresh nodes behind a router.
+struct Fleet {
+  Fleet(const std::string& dataset, const net::ShardPlan& plan)
+      : shard0(dataset),
+        shard1(dataset),
+        router(plan, FleetConfig(shard0.port(), shard1.port())) {
+    std::string error;
+    FANNR_CHECK(router.Start(&error));
   }
 
-  std::vector<ClientOutcome> outcomes(workload.size());
-  Timer wall;
-  {
-    std::vector<std::thread> drivers;
-    for (size_t c = 0; c < workload.size(); ++c) {
-      drivers.emplace_back(
-          [&, c] { outcomes[c] = DriveClient(port, workload[c]); });
-    }
-    for (std::thread& t : drivers) t.join();
-  }
-  const double wall_ms = wall.Millis();
-  if (waves) {
-    stop_waves.store(true, std::memory_order_relaxed);
-    wave_thread.join();
-  }
-
-  Cell cell;
-  cell.mode = mode;
-  cell.connections = workload.size();
-  cell.waves = waves;
-  cell.wall_ms = wall_ms;
-  cell.waves_applied = waves_applied.load(std::memory_order_relaxed);
-  std::vector<double> latencies;
-  for (const ClientOutcome& o : outcomes) {
-    FANNR_CHECK(!o.transport_error);
-    cell.ok += o.ok;
-    cell.rejected += o.rejected;
-    cell.timed_out += o.timed_out;
-    cell.resubmitted += o.resubmitted;
-    cell.final_epoch = std::max(cell.final_epoch, o.last_epoch);
-    latencies.insert(latencies.end(), o.latencies_ms.begin(),
-                     o.latencies_ms.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  cell.p50_ms = Percentile(latencies, 0.50);
-  cell.p95_ms = Percentile(latencies, 0.95);
-  cell.p99_ms = Percentile(latencies, 0.99);
-  cell.qps = 1000.0 * static_cast<double>(cell.ok) / wall_ms;
-  return cell;
-}
-
-struct DifferentialOutcome {
-  size_t queries = 0;
-  size_t mismatches = 0;
+  ServerNode shard0, shard1;
+  net::FannRouter router;
 };
 
 struct CatchUpOutcome {
@@ -293,316 +91,171 @@ struct CatchUpOutcome {
   uint64_t final_epoch = 0;
 };
 
-/// Pulls one counter out of the router's stats JSON. The bench owns the
-/// counter names it asserts on, so a dumb substring scan is enough.
-size_t CounterFromStats(const std::string& json, const std::string& name) {
-  const std::string key = "\"" + name + "\": ";
-  const size_t at = json.find(key);
-  if (at == std::string::npos) return 0;
-  return static_cast<size_t>(
-      std::strtoull(json.c_str() + at + key.size(), nullptr, 10));
+/// A killed replica rejoins by WAL replay: wave 1 lands everywhere (and
+/// in shard 1's own WAL); shard 1 dies and wave 2 is replicated to shard
+/// 0 only; shard 1 restarts on its old port from a fresh epoch-0 graph
+/// plus its WAL (epoch 1), and the next spanning query makes the router
+/// replay its history tail (wave 2) into it.
+CatchUpOutcome RunCatchUp(const std::string& dataset,
+                          const net::ShardPlan& plan,
+                          const Graph& client_graph,
+                          const std::vector<uint32_t>& p_ids) {
+  const std::string router_wal_path = TempPath("router.wal");
+  const std::string shard1_wal_path = TempPath("shard1.wal");
+  std::remove(router_wal_path.c_str());
+  std::remove(shard1_wal_path.c_str());
+
+  std::string error;
+  std::unique_ptr<dynamic::UpdateWal> router_wal = dynamic::UpdateWal::Open(
+      router_wal_path, client_graph.Fingerprint(), &error);
+  FANNR_CHECK(router_wal != nullptr);
+  std::unique_ptr<dynamic::UpdateWal> shard1_wal = dynamic::UpdateWal::Open(
+      shard1_wal_path, client_graph.Fingerprint(), &error);
+  FANNR_CHECK(shard1_wal != nullptr);
+
+  ServerNode shard0(dataset);
+  net::ServerConfig shard1_config = ServingConfig();
+  shard1_config.wal = shard1_wal.get();
+  auto shard1 = std::make_unique<ServerNode>(dataset, shard1_config);
+  const uint16_t shard1_port = shard1->port();
+
+  net::RouterConfig config = FleetConfig(shard0.port(), shard1_port);
+  config.wal = router_wal.get();
+  net::FannRouter router(plan, config);
+  FANNR_CHECK(router.Start(&error));
+  net::FannClient client;
+  FANNR_CHECK(client.Connect("127.0.0.1", router.port()));
+
+  const auto send_wave = [&](uint64_t seed) {
+    Rng rng(seed);
+    const net::UpdateWeightsRequest request =
+        ToRequest(MakeWave(client_graph, rng));
+    net::UpdateWeightsResponse response;
+    FANNR_CHECK(client.UpdateWeights(request, response));
+    FANNR_CHECK(response.status == 0);
+  };
+  send_wave(0xFEED0001u);
+  shard1.reset();
+  shard1_wal.reset();
+  send_wave(0xFEED0002u);
+
+  Graph restarted = BuildPreset(dataset);
+  shard1_wal = dynamic::UpdateWal::Open(shard1_wal_path,
+                                        restarted.Fingerprint(), &error);
+  FANNR_CHECK(shard1_wal != nullptr);
+  FANNR_CHECK(shard1_wal->ReplayInto(restarted, &error) == 1);
+  shard1_config.port = shard1_port;
+  shard1_config.wal = shard1_wal.get();
+  shard1 = std::make_unique<ServerNode>(std::move(restarted), shard1_config);
+
+  Rng q_rng(0x0CA7C4u);
+  const net::WireQuery probe = MakeQuery(client_graph, p_ids, q_rng);
+  net::QueryResponse response;
+  FANNR_CHECK(client.Query(probe, response));
+  if (response.result.status ==
+      static_cast<uint8_t>(QueryStatus::kRejected)) {
+    // The mid-fan-out epoch rejection, if the retry raced: re-submit.
+    FANNR_CHECK(client.Query(probe, response));
+  }
+  CatchUpOutcome outcome;
+  outcome.final_epoch = response.graph_epoch;
+  outcome.recovered =
+      response.result.status == static_cast<uint8_t>(QueryStatus::kOk) &&
+      response.graph_epoch == 2;
+  outcome.records = static_cast<size_t>(
+      router.metrics().Snapshot().counter("router.catch_up.records"));
+
+  router.RequestShutdown();
+  router.Wait();
+  shard1.reset();
+  std::remove(router_wal_path.c_str());
+  std::remove(shard1_wal_path.c_str());
+  return outcome;
 }
 
 int Main() {
-  const char* dataset_env = std::getenv("FANNR_DATASET");
-  const std::string dataset = dataset_env != nullptr ? dataset_env : "TEST";
-  FANNR_CHECK(IsPresetName(dataset));
-  const size_t queries_per_conn =
-      std::max<size_t>(1, EnvSize("FANNR_SHARD_QUERIES", 30));
-  const size_t threads = std::max<size_t>(1, EnvSize("FANNR_SHARD_THREADS", 2));
-  constexpr uint32_t kShards = 2;
-
+  const std::string dataset = ServingDataset();
   const Graph client_graph = BuildPreset(dataset);
   const net::ShardPlan plan = net::ShardPlan::Build(client_graph, kShards);
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
+  const std::vector<uint32_t> p_ids = ServingDataPoints(client_graph);
 
   std::printf("Shard throughput — dataset %s, %u shards, %zu queries/conn, "
               "%zu engine threads\n",
-              dataset.c_str(), kShards, queries_per_conn, threads);
+              dataset.c_str(), kShards, kQueriesPerConn, kEngineThreads);
   std::printf("%7s %5s %6s %10s %9s %9s %9s %6s %5s %7s\n", "mode", "conns",
               "waves", "qps", "p50 ms", "p95 ms", "p99 ms", "ok", "rej",
               "epochs");
-  const auto print_cell = [](const Cell& cell) {
+  std::vector<JsonObject> rows;
+  const auto report = [&rows](const LoadCell& cell) {
     std::printf("%7s %5zu %6s %10.1f %9.2f %9.2f %9.2f %6zu %5zu %7zu\n",
                 cell.mode.c_str(), cell.connections, cell.waves ? "yes" : "no",
                 cell.qps, cell.p50_ms, cell.p95_ms, cell.p99_ms, cell.ok,
                 cell.rejected, static_cast<size_t>(cell.final_epoch));
+    rows.push_back(ToJson(cell));
   };
 
-  std::vector<Cell> cells;
+  // Each pair runs the identical workload against a fresh single node
+  // and a fresh fleet, so wave cells never inherit a mutated graph.
   for (const bool waves : {false, true}) {
     for (const size_t connections : {size_t{1}, size_t{4}}) {
       const std::vector<std::vector<net::WireQuery>> workload = MakeWorkload(
-          client_graph, p_ids, connections, queries_per_conn);
-
-      // Single-node baseline: a fresh server per cell so wave cells
-      // never inherit a mutated graph.
+          client_graph, p_ids, connections, kQueriesPerConn, kWorkloadSeed);
       {
         ServerNode single(dataset);
-        std::string error;
-        FANNR_CHECK(single.Start(threads, 0, nullptr, &error));
-        Cell cell = RunCellAt("single", single.server->port(), client_graph,
-                              workload, waves);
-        single.Stop();
-        print_cell(cell);
-        cells.push_back(std::move(cell));
+        report(RunLoadCell(single.port(), client_graph, workload, waves,
+                           kWavePeriod));
       }
-
-      // Routed: the identical workload through the 2-shard fleet.
-      {
-        ServerNode shard0(dataset);
-        ServerNode shard1(dataset);
-        std::string error;
-        FANNR_CHECK(shard0.Start(threads, 0, nullptr, &error));
-        FANNR_CHECK(shard1.Start(threads, 0, nullptr, &error));
-        net::RouterConfig config;
-        config.shards = {{"127.0.0.1", shard0.server->port()},
-                         {"127.0.0.1", shard1.server->port()}};
-        net::FannRouter router(plan, std::move(config));
-        FANNR_CHECK(router.Start(&error));
-        Cell cell =
-            RunCellAt("routed", router.port(), client_graph, workload, waves);
-        router.RequestShutdown();
-        router.Wait();
-        shard0.Stop();
-        shard1.Stop();
-        print_cell(cell);
-        cells.push_back(std::move(cell));
-      }
+      Fleet fleet(dataset, plan);
+      LoadCell cell = RunLoadCell(fleet.router.port(), client_graph,
+                                  workload, waves, kWavePeriod);
+      cell.mode = "routed";
+      report(cell);
     }
   }
 
-  // --- routed differential: the fleet vs the in-process engine ----------
   DifferentialOutcome differential;
   {
-    ServerNode shard0(dataset);
-    ServerNode shard1(dataset);
-    std::string error;
-    FANNR_CHECK(shard0.Start(threads, 0, nullptr, &error));
-    FANNR_CHECK(shard1.Start(threads, 0, nullptr, &error));
-    net::RouterConfig config;
-    config.shards = {{"127.0.0.1", shard0.server->port()},
-                     {"127.0.0.1", shard1.server->port()}};
-    net::FannRouter router(plan, std::move(config));
-    FANNR_CHECK(router.Start(&error));
-
-    Graph ref_graph = BuildPreset(dataset);
-    GphiResources ref_resources;
-    ref_resources.graph = &ref_graph;
-    BatchOptions ref_options;
-    ref_options.num_threads = threads;
-    BatchQueryEngine reference(ref_resources, ref_options);
-
-    Rng q_rng(0xD1FF0002u);
-    std::vector<net::WireQuery> jobs;
-    for (size_t i = 0; i < 24; ++i) {
-      jobs.push_back(MakeQuery(client_graph, p_ids, q_rng));
-    }
-
+    Fleet fleet(dataset, plan);
     net::FannClient client;
-    FANNR_CHECK(client.Connect("127.0.0.1", router.port()));
-
-    const auto run_phase = [&](uint64_t expected_epoch) {
-      std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-      std::vector<FannrQuery> batch;
-      for (const net::WireQuery& wire : jobs) {
-        auto p = std::make_unique<IndexedVertexSet>(
-            ref_graph.NumVertices(),
-            std::vector<VertexId>(wire.p.begin(), wire.p.end()));
-        auto q = std::make_unique<IndexedVertexSet>(
-            ref_graph.NumVertices(),
-            std::vector<VertexId>(wire.q.begin(), wire.q.end()));
-        FannrQuery job;
-        job.query.graph = &ref_graph;
-        job.query.data_points = p.get();
-        job.query.query_points = q.get();
-        job.query.phi = wire.phi;
-        job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-        job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-        sets.push_back(std::move(p));
-        sets.push_back(std::move(q));
-        batch.push_back(job);
-      }
-      const std::vector<FannResult> results = reference.Run(batch);
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        ++differential.queries;
-        net::QueryResponse response;
-        if (!client.Query(jobs[i], response) ||
-            response.graph_epoch != expected_epoch) {
-          ++differential.mismatches;
-          continue;
-        }
-        const net::WireResult want = net::ToWire(results[i]);
-        const net::WireResult& got = response.result;
-        // gphi_evaluations is summed across shards, hence excluded.
-        const bool equal =
-            got.status == want.status && got.best == want.best &&
-            std::memcmp(&got.distance, &want.distance,
-                        sizeof(got.distance)) == 0 &&
-            got.subset == want.subset && got.error == want.error;
-        if (!equal) ++differential.mismatches;
-      }
-    };
-
-    run_phase(0);
-    // The same wave on both sides: replicated through the router,
-    // in-process to the reference graph.
-    Rng wave_rng(0xCA11AB1Fu);
-    const dynamic::UpdateBatch wave =
-        dynamic::MakeCongestionWave(client_graph, 0.02, 0.5, 3.0, wave_rng);
-    {
-      net::UpdateWeightsRequest request;
-      for (const EdgeWeightUpdate& u : wave.updates()) {
-        request.entries.push_back({u.u, u.v, u.new_weight});
-      }
-      net::UpdateWeightsResponse applied;
-      FANNR_CHECK(client.UpdateWeights(request, applied));
-      FANNR_CHECK(applied.status == 0);
-    }
-    FANNR_CHECK(wave.Apply(ref_graph).new_epoch == 1);
-    run_phase(1);
-
-    router.RequestShutdown();
-    router.Wait();
-    shard0.Stop();
-    shard1.Stop();
+    FANNR_CHECK(client.Connect("127.0.0.1", fleet.router.port()));
+    differential = RunDifferential(
+        dataset, fleet.router.port(), 0xD1FF0002u, 0xCA11AB1Fu,
+        /*with_work=*/false,
+        [&client](const std::vector<net::WireQuery>& jobs, uint64_t) {
+          std::vector<std::optional<net::QueryResponse>> answers(jobs.size());
+          for (size_t i = 0; i < jobs.size(); ++i) {
+            net::QueryResponse response;
+            if (client.Query(jobs[i], response)) answers[i] = response;
+          }
+          return answers;
+        });
   }
   std::printf("\nrouted differential vs in-process engine: "
               "%zu queries, %zu mismatches\n",
               differential.queries, differential.mismatches);
 
-  // --- catch-up: a killed replica rejoins by WAL replay -----------------
-  CatchUpOutcome catch_up;
-  {
-    const std::string router_wal_path = TempPath("router.wal");
-    const std::string shard1_wal_path = TempPath("shard1.wal");
-    std::remove(router_wal_path.c_str());
-    std::remove(shard1_wal_path.c_str());
-
-    ServerNode shard0(dataset);
-    auto shard1 = std::make_unique<ServerNode>(dataset);
-    std::string error;
-    std::unique_ptr<dynamic::UpdateWal> router_wal = dynamic::UpdateWal::Open(
-        router_wal_path, client_graph.Fingerprint(), &error);
-    FANNR_CHECK(router_wal != nullptr);
-    std::unique_ptr<dynamic::UpdateWal> shard1_wal = dynamic::UpdateWal::Open(
-        shard1_wal_path, client_graph.Fingerprint(), &error);
-    FANNR_CHECK(shard1_wal != nullptr);
-
-    FANNR_CHECK(shard0.Start(threads, 0, nullptr, &error));
-    FANNR_CHECK(shard1->Start(threads, 0, shard1_wal.get(), &error));
-    const uint16_t shard1_port = shard1->server->port();
-
-    net::RouterConfig config;
-    config.shards = {{"127.0.0.1", shard0.server->port()},
-                     {"127.0.0.1", shard1_port}};
-    config.wal = router_wal.get();
-    net::FannRouter router(plan, std::move(config));
-    FANNR_CHECK(router.Start(&error));
-    net::FannClient client;
-    FANNR_CHECK(client.Connect("127.0.0.1", router.port()));
-
-    const auto send_wave = [&](uint64_t seed) {
-      Rng rng(seed);
-      const dynamic::UpdateBatch wave =
-          dynamic::MakeCongestionWave(client_graph, 0.02, 0.5, 3.0, rng);
-      net::UpdateWeightsRequest request;
-      for (const EdgeWeightUpdate& u : wave.updates()) {
-        request.entries.push_back({u.u, u.v, u.new_weight});
-      }
-      net::UpdateWeightsResponse response;
-      FANNR_CHECK(client.UpdateWeights(request, response));
-      FANNR_CHECK(response.status == 0);
-    };
-
-    // Wave 1 lands everywhere (and in shard 1's own WAL); then shard 1
-    // dies and wave 2 is replicated to shard 0 only.
-    send_wave(0xFEED0001u);
-    shard1->Stop();
-    shard1.reset();
-    shard1_wal.reset();
-    send_wave(0xFEED0002u);
-
-    // Restart: fresh epoch-0 graph, own-WAL replay to epoch 1, same
-    // port. The router's next spanning fan-out sees the epoch skew and
-    // replays its history tail (wave 2) into the replica.
-    shard1 = std::make_unique<ServerNode>(dataset);
-    shard1_wal = dynamic::UpdateWal::Open(shard1_wal_path,
-                                          shard1->graph.Fingerprint(), &error);
-    FANNR_CHECK(shard1_wal != nullptr);
-    FANNR_CHECK(shard1_wal->ReplayInto(shard1->graph, &error) == 1);
-    FANNR_CHECK(shard1->Start(threads, shard1_port, shard1_wal.get(), &error));
-
-    Rng q_rng(0x0CA7C4u);
-    net::WireQuery probe = MakeQuery(client_graph, p_ids, q_rng);
-    net::QueryResponse response;
-    FANNR_CHECK(client.Query(probe, response));
-    if (response.result.status ==
-        static_cast<uint8_t>(QueryStatus::kRejected)) {
-      // The mid-fan-out epoch rejection, if the retry raced: re-submit.
-      FANNR_CHECK(client.Query(probe, response));
-    }
-    catch_up.final_epoch = response.graph_epoch;
-    catch_up.recovered =
-        response.result.status == static_cast<uint8_t>(QueryStatus::kOk) &&
-        response.graph_epoch == 2;
-    catch_up.records =
-        CounterFromStats(router.StatsJson(), "router.catch_up.records");
-
-    router.RequestShutdown();
-    router.Wait();
-    shard0.Stop();
-    shard1->Stop();
-    std::remove(router_wal_path.c_str());
-    std::remove(shard1_wal_path.c_str());
-  }
+  const CatchUpOutcome catch_up =
+      RunCatchUp(dataset, plan, client_graph, p_ids);
   std::printf("catch-up: %zu history record%s replayed, %s, fleet at "
               "epoch %zu\n",
               catch_up.records, catch_up.records == 1 ? "" : "s",
               catch_up.recovered ? "recovered" : "NOT RECOVERED",
               static_cast<size_t>(catch_up.final_epoch));
 
-  // --- JSON ------------------------------------------------------------
-  const std::string out_dir = [] {
-    const char* dir = std::getenv("FANNR_OUT_DIR");
-    return std::string(dir != nullptr ? dir : ".");
-  }();
-  const std::string out_path = out_dir + "/BENCH_shard.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"dataset\": \"" << dataset << "\",\n"
-      << "  \"num_shards\": " << kShards << ",\n"
-      << "  \"queries_per_connection\": " << queries_per_conn << ",\n"
-      << "  \"engine_threads\": " << threads << ",\n"
-      << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    out << "    {\"mode\": \"" << cell.mode << "\""
-        << ", \"connections\": " << cell.connections
-        << ", \"waves\": " << (cell.waves ? "true" : "false")
-        << ", \"qps\": " << cell.qps << ", \"wall_ms\": " << cell.wall_ms
-        << ", \"p50_ms\": " << cell.p50_ms << ", \"p95_ms\": " << cell.p95_ms
-        << ", \"p99_ms\": " << cell.p99_ms << ", \"ok\": " << cell.ok
-        << ", \"rejected\": " << cell.rejected
-        << ", \"timed_out\": " << cell.timed_out
-        << ", \"resubmitted\": " << cell.resubmitted
-        << ", \"waves_applied\": " << cell.waves_applied
-        << ", \"final_epoch\": " << cell.final_epoch << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"differential\": {\"queries\": " << differential.queries
-      << ", \"mismatches\": " << differential.mismatches << "},\n"
-      << "  \"catch_up\": {\"records\": " << catch_up.records
-      << ", \"recovered\": " << (catch_up.recovered ? "true" : "false")
-      << ", \"final_epoch\": " << catch_up.final_epoch << "}\n"
-      << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  WriteBenchJson(
+      "shard",
+      BenchJson("shard", dataset)
+          .Add("num_shards", kShards)
+          .Add("queries_per_connection", kQueriesPerConn)
+          .Add("cells", rows)
+          .Add("differential", JsonObject()
+                                   .Add("queries", differential.queries)
+                                   .Add("mismatches", differential.mismatches))
+          .Add("catch_up", JsonObject()
+                               .Add("records", catch_up.records)
+                               .Add("recovered", catch_up.recovered)
+                               .Add("final_epoch", catch_up.final_epoch)));
+  return differential.mismatches == 0 && catch_up.recovered ? 0 : 1;
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Continuous-subscription benchmark: push latency and delta-suppression
 // behaviour of the standing-query subsystem (src/cont/) over loopback
-// TCP, gated in CI by scripts/check_subs_json.py.
+// TCP, gated in CI by scripts/check_serving_json.py.
 //
 // Each cell registers S standing FANN_R queries across C connections
 // (the last subscription on every connection opts into force_push, so
 // its push doubles as the wave barrier: it is registered last, pushes
 // are enqueued in registration order, and per-connection delivery is
-// FIFO). An updater connection then applies W UPDATE_WEIGHTS waves,
+// FIFO). An updater connection then applies 12 UPDATE_WEIGHTS waves,
 // alternating fresh congestion waves with exact re-sends of the
 // previous wave — a re-send still bumps the graph epoch but changes no
 // answer, so it exercises pure suppression.
@@ -15,7 +15,7 @@
 //   * push latency — wall time from the UPDATE_WEIGHTS send to each
 //     PUSH_ANSWER's arrival at its subscriber (includes the merged
 //     re-evaluation solve), reported as p50/p95;
-//   * suppression rate — suppressed / (pushed + suppressed) across all
+//   * suppression rate — suppressed / (pushes + suppressed) across all
 //     (wave, subscription) pairs, predicted client-side with the same
 //     delta rule the server uses and cross-checked against the server's
 //     own counters;
@@ -23,60 +23,27 @@
 //     one-shot per subscription compared bitwise (status, vertex id,
 //     distance bits, work counters, subset, error text) against an
 //     in-process BatchQueryEngine solve at the same epoch (gated: zero
-//     mismatches).
+//     mismatches; a mismatch also makes the process exit nonzero).
 //
-// Environment: FANNR_DATASET (preset name, default TEST),
-// FANNR_SUBS_WAVES (waves per cell, default 12),
-// FANNR_SUBS_THREADS (engine worker threads, default 2).
+// The shared harness and its environment (FANNR_DATASET, FANNR_OUT_DIR)
+// are in common/serving.h.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/serving.h"
 #include "common/timer.h"
-#include "dynamic/update.h"
-#include "engine/batch_engine.h"
-#include "fann/fannr.h"
 #include "net/client.h"
-#include "net/server.h"
 #include "obs/metrics.h"
 
 namespace fannr::bench {
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr
-             ? static_cast<size_t>(std::strtoull(value, nullptr, 10))
-             : fallback;
-}
-
-double Percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const size_t rank =
-      static_cast<size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[rank];
-}
-
-uint64_t DistanceBits(double distance) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(distance));
-  std::memcpy(&bits, &distance, sizeof(bits));
-  return bits;
-}
-
-bool BitwiseEqual(const net::WireResult& a, const net::WireResult& b) {
-  return a.status == b.status && a.best == b.best &&
-         DistanceBits(a.distance) == DistanceBits(b.distance) &&
-         a.gphi_evaluations == b.gphi_evaluations && a.subset == b.subset &&
-         a.error == b.error;
-}
+constexpr size_t kWaves = 12;
 
 /// Standing queries for one cell: conn-major registration order, the
 /// last subscription of every connection force_push. Shapes rotate
@@ -104,40 +71,6 @@ std::vector<net::WireQuery> MakeStandingQueries(
   return jobs;
 }
 
-/// Answers wire jobs in-process as ONE engine Run — mirroring the
-/// server's merged re-evaluation batch — through the same lossless
-/// ToWire mapping.
-std::vector<net::WireResult> SolveWire(BatchQueryEngine& engine,
-                                       const Graph& graph,
-                                       std::span<const net::WireQuery> jobs) {
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> batch;
-  for (const net::WireQuery& wire : jobs) {
-    auto p = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(),
-        std::vector<VertexId>(wire.p.begin(), wire.p.end()));
-    auto q = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(),
-        std::vector<VertexId>(wire.q.begin(), wire.q.end()));
-    FannrQuery job;
-    job.query.graph = &graph;
-    job.query.data_points = p.get();
-    job.query.query_points = q.get();
-    job.query.phi = wire.phi;
-    job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-    if (!wire.weights.empty()) job.query.weights = &wire.weights;
-    job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-    sets.push_back(std::move(p));
-    sets.push_back(std::move(q));
-    batch.push_back(job);
-  }
-  const std::vector<FannResult> results = engine.Run(batch);
-  std::vector<net::WireResult> wire_results;
-  wire_results.reserve(results.size());
-  for (const FannResult& r : results) wire_results.push_back(net::ToWire(r));
-  return wire_results;
-}
-
 struct Cell {
   size_t connections = 0;
   size_t subscriptions = 0;
@@ -152,48 +85,32 @@ struct Cell {
   size_t differential_mismatches = 0;
 };
 
-/// One cell: C connections x S standing queries each, W alternating
+/// One cell: C connections x S standing queries each, kWaves alternating
 /// fresh/re-sent waves, every answer checked bitwise against the
 /// in-process reference.
 Cell RunCell(const std::string& dataset, size_t connections,
-             size_t subs_per_conn, size_t waves, size_t engine_threads) {
-  Graph server_graph = BuildPreset(dataset);
-  Graph ref_graph = BuildPreset(dataset);
+             size_t subs_per_conn) {
+  ServerNode node(dataset);
+  Reference reference(dataset);
   const Graph client_graph = BuildPreset(dataset);
-
-  GphiResources resources;
-  resources.graph = &server_graph;
-  net::ServerConfig config;
-  config.engine_options.num_threads = engine_threads;
-  net::FannServer server(&server_graph, resources, std::move(config));
-  std::string error;
-  FANNR_CHECK(server.Start(&error));
-  const uint16_t port = server.port();
-
-  GphiResources ref_resources;
-  ref_resources.graph = &ref_graph;
-  BatchOptions ref_options;
-  ref_options.num_threads = engine_threads;
-  BatchQueryEngine reference(ref_resources, ref_options);
-
-  Rng p_rng(0xBA5E0001u);
-  const std::vector<VertexId> p_vertices =
-      GenerateDataPoints(client_graph, 0.01, p_rng);
-  const std::vector<uint32_t> p_ids(p_vertices.begin(), p_vertices.end());
   const size_t total_subs = connections * subs_per_conn;
-  const std::vector<net::WireQuery> jobs =
-      MakeStandingQueries(client_graph, p_ids, total_subs);
+  const std::vector<net::WireQuery> jobs = MakeStandingQueries(
+      client_graph, ServingDataPoints(client_graph), total_subs);
 
-  Cell cell;
-  cell.connections = connections;
-  cell.subscriptions = total_subs;
-  cell.waves = waves;
+  Cell cell{.connections = connections,
+            .subscriptions = total_subs,
+            .waves = kWaves};
+  const auto compare = [&cell](const net::WireResult& got,
+                               const net::WireResult& want) {
+    ++cell.differential_answers;
+    cell.differential_mismatches += !BitwiseEqual(got, want);
+  };
 
   // --- register: initial answers are single-job solves at epoch 0 ----
   std::vector<std::unique_ptr<net::FannClient>> subscribers;
   for (size_t c = 0; c < connections; ++c) {
     auto client = std::make_unique<net::FannClient>();
-    FANNR_CHECK(client->Connect("127.0.0.1", port));
+    FANNR_CHECK(client->Connect("127.0.0.1", node.port()));
     subscribers.push_back(std::move(client));
   }
   std::vector<uint64_t> sub_ids(total_subs, 0);
@@ -210,17 +127,12 @@ Cell RunCell(const std::string& dataset, size_t connections,
     FANNR_CHECK(response.graph_epoch == 0);
     FANNR_CHECK(response.result.status ==
                 static_cast<uint8_t>(QueryStatus::kOk));
-    const std::vector<net::WireResult> initial =
-        SolveWire(reference, ref_graph, std::span(&jobs[i], 1));
-    ++cell.differential_answers;
-    if (!BitwiseEqual(response.result, initial[0])) {
-      ++cell.differential_mismatches;
-    }
+    compare(response.result, reference.Solve(std::span(&jobs[i], 1))[0]);
     last[i] = response.result;
   }
 
   net::FannClient updater;
-  FANNR_CHECK(updater.Connect("127.0.0.1", port));
+  FANNR_CHECK(updater.Connect("127.0.0.1", node.port()));
 
   // --- waves: odd = fresh congestion wave, even = exact re-send (the
   // epoch still advances; every answer is unchanged, so everything but
@@ -228,16 +140,14 @@ Cell RunCell(const std::string& dataset, size_t connections,
   Rng wave_rng(0xCA11AB1Eu);
   std::vector<double> latencies;
   std::unique_ptr<dynamic::UpdateBatch> current;
-  for (size_t w = 1; w <= waves; ++w) {
+  for (size_t w = 1; w <= kWaves; ++w) {
     if (w % 2 == 1 || current == nullptr) {
       current = std::make_unique<dynamic::UpdateBatch>(
           dynamic::MakeCongestionWave(client_graph, 0.10, 0.5, 3.0,
                                       wave_rng));
     }
-    const dynamic::ApplyResult applied_ref = current->Apply(ref_graph);
-    FANNR_CHECK(applied_ref.new_epoch == w);
-    const std::vector<net::WireResult> expected =
-        SolveWire(reference, ref_graph, jobs);
+    FANNR_CHECK(current->Apply(reference.graph).new_epoch == w);
+    const std::vector<net::WireResult> expected = reference.Solve(jobs);
 
     // The server's own delta rule, applied to the reference answers,
     // predicts exactly which subscriptions push this wave.
@@ -247,10 +157,7 @@ Cell RunCell(const std::string& dataset, size_t connections,
           is_force_push(i) || !net::SameVisibleAnswer(expected[i], last[i]);
     }
 
-    net::UpdateWeightsRequest request;
-    for (const EdgeWeightUpdate& u : current->updates()) {
-      request.entries.push_back({u.u, u.v, u.new_weight});
-    }
+    const net::UpdateWeightsRequest request = ToRequest(*current);
     Timer t;
     net::UpdateWeightsResponse ack;
     FANNR_CHECK(updater.UpdateWeights(request, ack));
@@ -268,16 +175,13 @@ Cell RunCell(const std::string& dataset, size_t connections,
       latencies.push_back(t.Millis());
       FANNR_CHECK(push.subscription_id == sub_ids[i]);
       FANNR_CHECK(push.answer.graph_epoch == w);
-      ++cell.differential_answers;
-      if (!BitwiseEqual(push.answer.result, expected[i])) {
-        ++cell.differential_mismatches;
-      }
+      compare(push.answer.result, expected[i]);
       last[i] = push.answer.result;
       ++pushes_per_sub[i];
       ++cell.pushes;
     }
   }
-  cell.final_epoch = waves;
+  cell.final_epoch = kWaves;
   cell.suppression_rate =
       cell.pushes + cell.suppressed > 0
           ? static_cast<double>(cell.suppressed) /
@@ -286,16 +190,12 @@ Cell RunCell(const std::string& dataset, size_t connections,
 
   // --- quiesced: a one-shot of every standing query must equal the
   // reference at the final epoch --------------------------------------
-  const std::vector<net::WireResult> final_expected =
-      SolveWire(reference, ref_graph, jobs);
+  const std::vector<net::WireResult> final_expected = reference.Solve(jobs);
   for (size_t i = 0; i < total_subs; ++i) {
     net::QueryResponse response;
     FANNR_CHECK(subscribers[i / subs_per_conn]->Query(jobs[i], response));
-    FANNR_CHECK(response.graph_epoch == waves);
-    ++cell.differential_answers;
-    if (!BitwiseEqual(response.result, final_expected[i])) {
-      ++cell.differential_mismatches;
-    }
+    FANNR_CHECK(response.graph_epoch == kWaves);
+    compare(response.result, final_expected[i]);
   }
 
   // --- teardown: per-subscription push counts and server counters
@@ -307,7 +207,7 @@ Cell RunCell(const std::string& dataset, size_t connections,
     FANNR_CHECK(done.status == 0);
     FANNR_CHECK(done.pushes_sent == pushes_per_sub[i]);
   }
-  const obs::MetricsSnapshot snapshot = server.metrics().Snapshot();
+  const obs::MetricsSnapshot snapshot = node.server->metrics().Snapshot();
   FANNR_CHECK(snapshot.counter("server.pushes.sent") == cell.pushes);
   FANNR_CHECK(snapshot.counter("server.pushes.suppressed") ==
               cell.suppressed);
@@ -318,26 +218,19 @@ Cell RunCell(const std::string& dataset, size_t connections,
     FANNR_CHECK(client->pushes_dropped() == 0);
   }
   FANNR_CHECK(updater.Shutdown());
-  const net::DrainStats drain = server.Wait();
-  FANNR_CHECK(drain.within_deadline);
+  FANNR_CHECK(node.Stop().within_deadline);
 
   std::sort(latencies.begin(), latencies.end());
-  cell.push_p50_ms = Percentile(latencies, 0.50);
-  cell.push_p95_ms = Percentile(latencies, 0.95);
+  cell.push_p50_ms = Percentile(latencies, 50);
+  cell.push_p95_ms = Percentile(latencies, 95);
   return cell;
 }
 
 int Main() {
-  const char* dataset_env = std::getenv("FANNR_DATASET");
-  const std::string dataset = dataset_env != nullptr ? dataset_env : "TEST";
-  FANNR_CHECK(IsPresetName(dataset));
-  const size_t waves = std::max<size_t>(2, EnvSize("FANNR_SUBS_WAVES", 12));
-  const size_t engine_threads =
-      std::max<size_t>(1, EnvSize("FANNR_SUBS_THREADS", 2));
-
+  const std::string dataset = ServingDataset();
   std::printf("Subscription throughput — dataset %s, %zu waves/cell, "
               "%zu engine threads\n",
-              dataset.c_str(), waves, engine_threads);
+              dataset.c_str(), kWaves, kEngineThreads);
   std::printf("%5s %5s %6s %7s %6s %9s %9s %9s %5s\n", "conns", "subs",
               "waves", "pushes", "supp", "supp rate", "p50 ms", "p95 ms",
               "diff");
@@ -347,12 +240,11 @@ int Main() {
     size_t subs_per_conn;
   };
   const Spec specs[] = {{1, 4}, {4, 4}};
-  std::vector<Cell> cells;
+  std::vector<JsonObject> rows;
   size_t total_answers = 0;
   size_t total_mismatches = 0;
   for (const Spec& spec : specs) {
-    Cell cell = RunCell(dataset, spec.connections, spec.subs_per_conn,
-                        waves, engine_threads);
+    const Cell cell = RunCell(dataset, spec.connections, spec.subs_per_conn);
     std::printf("%5zu %5zu %6zu %7zu %6zu %9.3f %9.2f %9.2f %5zu\n",
                 cell.connections, cell.subscriptions, cell.waves,
                 cell.pushes, cell.suppressed, cell.suppression_rate,
@@ -360,43 +252,32 @@ int Main() {
                 cell.differential_mismatches);
     total_answers += cell.differential_answers;
     total_mismatches += cell.differential_mismatches;
-    cells.push_back(std::move(cell));
+    rows.push_back(
+        JsonObject()
+            .Add("connections", cell.connections)
+            .Add("subscriptions", cell.subscriptions)
+            .Add("waves", cell.waves)
+            .Add("pushes", cell.pushes)
+            .Add("suppressed", cell.suppressed)
+            .Add("suppression_rate", cell.suppression_rate)
+            .Add("push_p50_ms", cell.push_p50_ms)
+            .Add("push_p95_ms", cell.push_p95_ms)
+            .Add("final_epoch", cell.final_epoch)
+            .Add("dropped_backpressure", cell.dropped_backpressure)
+            .Add("differential_answers", cell.differential_answers)
+            .Add("differential_mismatches", cell.differential_mismatches));
   }
   std::printf("\ndifferential vs in-process engine: %zu answers, "
               "%zu mismatches\n",
               total_answers, total_mismatches);
 
-  const std::string out_dir = [] {
-    const char* dir = std::getenv("FANNR_OUT_DIR");
-    return std::string(dir != nullptr ? dir : ".");
-  }();
-  const std::string out_path = out_dir + "/BENCH_subs.json";
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"dataset\": \"" << dataset << "\",\n"
-      << "  \"waves_per_cell\": " << waves << ",\n"
-      << "  \"engine_threads\": " << engine_threads << ",\n"
-      << "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    out << "    {\"connections\": " << cell.connections
-        << ", \"subscriptions\": " << cell.subscriptions
-        << ", \"waves\": " << cell.waves << ", \"pushes\": " << cell.pushes
-        << ", \"suppressed\": " << cell.suppressed
-        << ", \"suppression_rate\": " << cell.suppression_rate
-        << ", \"push_p50_ms\": " << cell.push_p50_ms
-        << ", \"push_p95_ms\": " << cell.push_p95_ms
-        << ", \"final_epoch\": " << cell.final_epoch
-        << ", \"dropped_backpressure\": " << cell.dropped_backpressure
-        << ", \"differential_answers\": " << cell.differential_answers
-        << ", \"differential_mismatches\": " << cell.differential_mismatches
-        << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
-      << "  \"differential\": {\"answers\": " << total_answers
-      << ", \"mismatches\": " << total_mismatches << "}\n"
-      << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  WriteBenchJson("subs", BenchJson("subs", dataset)
+                             .Add("waves_per_cell", kWaves)
+                             .Add("cells", rows)
+                             .Add("differential",
+                                  JsonObject()
+                                      .Add("answers", total_answers)
+                                      .Add("mismatches", total_mismatches)));
   return total_mismatches == 0 ? 0 : 1;
 }
 

@@ -7,14 +7,15 @@
 
 namespace fannr::obs {
 
+uint64_t NearestRank(uint64_t n, double p) {
+  p = std::clamp(p, 0.0, 100.0);
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(n))));
+}
+
 double HistogramSnapshot::Percentile(double p) const {
   if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  // Exact rank of the requested percentile (nearest-rank definition,
-  // 1-based): the smallest rank r with r/count >= p/100.
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::ceil(p / 100.0 * static_cast<double>(count))));
+  const uint64_t rank = NearestRank(count, p);
   uint64_t cumulative = 0;
   for (size_t b = 0; b < counts.size(); ++b) {
     cumulative += counts[b];

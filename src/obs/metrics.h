@@ -47,6 +47,13 @@ struct HistogramId {
   size_t index = 0;
 };
 
+/// The 1-based nearest rank of percentile `p` (clamped to [0, 100])
+/// among `n` samples: the smallest rank r >= 1 with r/n >= p/100. The
+/// one percentile definition of the repository — histograms locate this
+/// rank in their bucket counts, and exact-sample percentiles (the
+/// serving benches) index their sorted samples with it.
+uint64_t NearestRank(uint64_t n, double p);
+
 /// Merged view of one histogram: bucket counts plus exact count/sum and
 /// observed extrema.
 struct HistogramSnapshot {

@@ -26,6 +26,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "test_util.h"
+#include "testing/wire_reference.h"
 
 namespace fannr::net {
 namespace {
@@ -112,38 +113,6 @@ std::vector<WireQuery> BuildWireJobs(const Graph& graph) {
   return jobs;
 }
 
-/// Answers the wire jobs in-process and converts through the same
-/// lossless ToWire mapping the server uses.
-std::vector<WireResult> RunReference(BatchQueryEngine& engine,
-                                     const Graph& graph,
-                                     const std::vector<WireQuery>& jobs) {
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> batch;
-  for (const WireQuery& wire : jobs) {
-    auto p = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(), std::vector<VertexId>(wire.p.begin(),
-                                                   wire.p.end()));
-    auto q = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(), std::vector<VertexId>(wire.q.begin(),
-                                                   wire.q.end()));
-    FannrQuery job;
-    job.query.graph = &graph;
-    job.query.data_points = p.get();
-    job.query.query_points = q.get();
-    job.query.phi = wire.phi;
-    job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-    job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-    sets.push_back(std::move(p));
-    sets.push_back(std::move(q));
-    batch.push_back(job);
-  }
-  const std::vector<FannResult> results = engine.Run(batch);
-  std::vector<WireResult> wire_results;
-  wire_results.reserve(results.size());
-  for (const FannResult& r : results) wire_results.push_back(ToWire(r));
-  return wire_results;
-}
-
 uint64_t DistanceBits(double distance) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(distance));
@@ -217,7 +186,7 @@ TEST(NetLoopbackDifferential, BitwiseIdenticalAcrossThreadsAndUpdates) {
     ASSERT_TRUE(client.Batch(request, steady)) << client.last_error();
     EXPECT_EQ(steady.graph_epoch, 0u);
     const std::vector<WireResult> steady_reference =
-        RunReference(reference, ref_graph, jobs);
+        testing::SolveWire(reference, ref_graph, jobs);
     ExpectAllBitwiseEqual(steady.results, steady_reference, "steady");
     if (steady_baseline.empty()) {
       steady_baseline = steady.results;
@@ -293,7 +262,7 @@ TEST(NetLoopbackDifferential, BitwiseIdenticalAcrossThreadsAndUpdates) {
     EXPECT_GT(applied.applied, 0u);
     EXPECT_EQ(applied.new_epoch, 1u);
     const std::vector<WireResult> updated_reference =
-        RunReference(reference, ref_graph, jobs);
+        testing::SolveWire(reference, ref_graph, jobs);
     ExpectAllBitwiseEqual(updated.results, updated_reference, "updated");
     if (updated_baseline.empty()) {
       updated_baseline = updated.results;
@@ -409,7 +378,7 @@ TEST(NetLoopbackDifferential, PipelinedShuffledIdsBitwiseIdentical) {
     }
   };
 
-  run_pipelined_wave(1000, 0, RunReference(reference, ref_graph, jobs));
+  run_pipelined_wave(1000, 0, testing::SolveWire(reference, ref_graph, jobs));
 
   // Weight wave: server applies over the wire, reference in-process.
   Rng wave_rng(99);
@@ -432,7 +401,7 @@ TEST(NetLoopbackDifferential, PipelinedShuffledIdsBitwiseIdentical) {
   const dynamic::ApplyResult applied = wave.Apply(ref_graph);
   EXPECT_EQ(applied.new_epoch, 1u);
 
-  run_pipelined_wave(5000, 1, RunReference(reference, ref_graph, jobs));
+  run_pipelined_wave(5000, 1, testing::SolveWire(reference, ref_graph, jobs));
 
   server.RequestShutdown();
   const DrainStats stats = server.Wait();
@@ -509,7 +478,7 @@ TEST(NetLoopbackDifferential, PipelinedDrainMidLoadAnswersBitwise) {
   wait_thread.join();
 
   const std::vector<WireResult> expected =
-      RunReference(reference, ref_graph, jobs);
+      testing::SolveWire(reference, ref_graph, jobs);
   for (size_t i = 0; i < jobs.size(); ++i) {
     auto it = by_id.find(ids[i]);
     ASSERT_NE(it, by_id.end()) << "query " << i << " unanswered in drain";

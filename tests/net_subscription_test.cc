@@ -29,6 +29,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "test_util.h"
+#include "testing/wire_reference.h"
 
 namespace fannr::net {
 namespace {
@@ -111,40 +112,6 @@ std::vector<WireQuery> BuildSubscriptionJobs(const Graph& graph) {
   return jobs;
 }
 
-/// Answers wire jobs in-process as ONE engine Run (mirroring the
-/// server's merged re-evaluation batch) through the same lossless
-/// ToWire mapping.
-std::vector<WireResult> SolveWire(BatchQueryEngine& engine,
-                                  const Graph& graph,
-                                  std::span<const WireQuery> jobs) {
-  std::vector<std::unique_ptr<IndexedVertexSet>> sets;
-  std::vector<FannrQuery> batch;
-  for (const WireQuery& wire : jobs) {
-    auto p = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(),
-        std::vector<VertexId>(wire.p.begin(), wire.p.end()));
-    auto q = std::make_unique<IndexedVertexSet>(
-        graph.NumVertices(),
-        std::vector<VertexId>(wire.q.begin(), wire.q.end()));
-    FannrQuery job;
-    job.query.graph = &graph;
-    job.query.data_points = p.get();
-    job.query.query_points = q.get();
-    job.query.phi = wire.phi;
-    job.query.aggregate = static_cast<Aggregate>(wire.aggregate);
-    if (!wire.weights.empty()) job.query.weights = &wire.weights;
-    job.algorithm = static_cast<FannAlgorithm>(wire.algorithm);
-    sets.push_back(std::move(p));
-    sets.push_back(std::move(q));
-    batch.push_back(job);
-  }
-  const std::vector<FannResult> results = engine.Run(batch);
-  std::vector<WireResult> wire_results;
-  wire_results.reserve(results.size());
-  for (const FannResult& r : results) wire_results.push_back(ToWire(r));
-  return wire_results;
-}
-
 uint64_t DistanceBits(double distance) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(distance));
@@ -216,7 +183,7 @@ TEST(NetSubscription, PushesBitwiseEqualInProcessAcrossThreadsAndWaves) {
       ASSERT_EQ(response.result.status,
                 static_cast<uint8_t>(QueryStatus::kOk));
       const std::vector<WireResult> initial =
-          SolveWire(reference, ref_graph, std::span(&jobs[i], 1));
+          testing::SolveWire(reference, ref_graph, std::span(&jobs[i], 1));
       ExpectBitwiseEqual(response.result, initial[0],
                          "initial sub " + std::to_string(i));
       last[i] = response.result;
@@ -252,7 +219,7 @@ TEST(NetSubscription, PushesBitwiseEqualInProcessAcrossThreadsAndWaves) {
       }
       const dynamic::ApplyResult applied = batch.Apply(ref_graph);
       EXPECT_EQ(applied.new_epoch, epoch);
-      current = SolveWire(reference, ref_graph, jobs);
+      current = testing::SolveWire(reference, ref_graph, jobs);
 
       struct ExpectedPush {
         size_t sub;
@@ -411,7 +378,7 @@ TEST(NetSubscription, PushArrivingMidSynchronousCallIsBufferedNotDropped) {
   ASSERT_TRUE(subscriber.Query(jobs[1], one_shot)) << subscriber.last_error();
   EXPECT_EQ(one_shot.graph_epoch, 1u);
   const std::vector<WireResult> expected =
-      SolveWire(reference, ref_graph, std::span(&jobs[1], 1));
+      testing::SolveWire(reference, ref_graph, std::span(&jobs[1], 1));
   ExpectBitwiseEqual(one_shot.result, expected[0], "query answered past push");
 
   ASSERT_EQ(subscriber.buffered_pushes(), 1u);
@@ -420,7 +387,7 @@ TEST(NetSubscription, PushArrivingMidSynchronousCallIsBufferedNotDropped) {
   EXPECT_EQ(push.subscription_id, sub_id);
   EXPECT_EQ(push.answer.graph_epoch, 1u);
   const std::vector<WireResult> pushed =
-      SolveWire(reference, ref_graph, std::span(&jobs[0], 1));
+      testing::SolveWire(reference, ref_graph, std::span(&jobs[0], 1));
   ExpectBitwiseEqual(push.answer.result, pushed[0], "buffered push");
   EXPECT_EQ(subscriber.pushes_dropped(), 0u);
 
